@@ -39,9 +39,9 @@ fn bench_budget_overhead(c: &mut Criterion) {
         // Soundness preconditions, checked once and loudly: the generous
         // budget never denies, and admission charges no simulated time.
         {
-            let plain = SiteNavigator::new(web.clone(), map.clone());
+            let plain = SiteNavigator::standalone(web.clone(), map.clone());
             let (base_records, base) = plain.run_relation(relation, &given).expect("runs");
-            let nav = SiteNavigator::new(web.clone(), map.clone());
+            let nav = SiteNavigator::standalone(web.clone(), map.clone());
             let tracker = Arc::new(BudgetTracker::new(generous_budget()));
             tracker.register_site(host);
             nav.set_budget(tracker.clone());
@@ -52,7 +52,7 @@ fn bench_budget_overhead(c: &mut Criterion) {
         }
         group.bench_function(format!("{host}/budget_on"), |b| {
             b.iter(|| {
-                let nav = SiteNavigator::new(web.clone(), map.clone());
+                let nav = SiteNavigator::standalone(web.clone(), map.clone());
                 let tracker = Arc::new(BudgetTracker::new(generous_budget()));
                 tracker.register_site(host);
                 nav.set_budget(tracker);
@@ -62,7 +62,7 @@ fn bench_budget_overhead(c: &mut Criterion) {
         });
         group.bench_function(format!("{host}/budget_off"), |b| {
             b.iter(|| {
-                let nav = SiteNavigator::new(web.clone(), map.clone());
+                let nav = SiteNavigator::standalone(web.clone(), map.clone());
                 let (records, _) = nav.run_relation(relation, black_box(&given)).expect("runs");
                 black_box(records.len())
             });

@@ -19,14 +19,14 @@ fn bench_caching(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("cached", |b| {
         b.iter(|| {
-            let nav = SiteNavigator::new(web.clone(), map.clone());
+            let nav = SiteNavigator::standalone(web.clone(), map.clone());
             let (records, stats) = nav.run_relation("newsday", black_box(&given)).expect("runs");
             black_box((records.len(), stats.pages_fetched))
         });
     });
     group.bench_function("uncached", |b| {
         b.iter(|| {
-            let nav = SiteNavigator::new(web.clone(), map.clone()).without_cache();
+            let nav = SiteNavigator::standalone(web.clone(), map.clone()).without_cache();
             let (records, stats) = nav.run_relation("newsday", black_box(&given)).expect("runs");
             black_box((records.len(), stats.pages_fetched))
         });
@@ -35,7 +35,7 @@ fn bench_caching(c: &mut Criterion) {
     // the dependent-join access pattern.
     group.bench_function("repeated_invocations_shared_cache", |b| {
         b.iter(|| {
-            let nav = SiteNavigator::new(web.clone(), map.clone());
+            let nav = SiteNavigator::standalone(web.clone(), map.clone());
             let mut total = 0;
             for make in ["ford", "toyota", "honda"] {
                 let given = vec![("make".to_string(), Value::str(make))];

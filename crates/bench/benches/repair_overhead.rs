@@ -24,14 +24,14 @@ fn bench_repair_overhead(c: &mut Criterion) {
         let web = wb.web.clone();
         group.bench_function(format!("{host}/healing_on"), |b| {
             b.iter(|| {
-                let nav = SiteNavigator::new(web.clone(), map.clone());
+                let nav = SiteNavigator::standalone(web.clone(), map.clone());
                 let (records, _) = nav.run_relation(relation, black_box(&given)).expect("runs");
                 black_box(records.len())
             });
         });
         group.bench_function(format!("{host}/healing_off"), |b| {
             b.iter(|| {
-                let nav = SiteNavigator::new(web.clone(), map.clone()).without_healing();
+                let nav = SiteNavigator::standalone(web.clone(), map.clone()).without_healing();
                 let (records, _) = nav.run_relation(relation, black_box(&given)).expect("runs");
                 black_box(records.len())
             });

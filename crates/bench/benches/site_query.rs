@@ -36,7 +36,7 @@ fn bench_site_queries(c: &mut Criterion) {
             b.iter(|| {
                 // Fresh navigator per iteration: cold cache, like the
                 // paper's per-site measurements.
-                let nav = SiteNavigator::new(web.clone(), map.clone());
+                let nav = SiteNavigator::standalone(web.clone(), map.clone());
                 let (records, _) = nav.run_relation(relation, black_box(&given)).expect("runs");
                 black_box(records.len())
             });

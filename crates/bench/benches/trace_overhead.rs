@@ -31,7 +31,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
         // One unmeasured run so lazily generated pages in the shared web
         // are hot before the first mode is timed (the modes would
         // otherwise be ordered by how much one-time work they absorbed).
-        let warm = SiteNavigator::new(web.clone(), map.clone());
+        let warm = SiteNavigator::standalone(web.clone(), map.clone());
         warm.run_relation(relation, &given).expect("warms");
         type ObsMaker = fn() -> Obs;
         let modes: [(&str, ObsMaker); 3] = [
@@ -42,7 +42,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
         for (mode, make_obs) in modes {
             group.bench_function(format!("{host}/{mode}"), |b| {
                 b.iter(|| {
-                    let nav = SiteNavigator::new(web.clone(), map.clone());
+                    let nav = SiteNavigator::standalone(web.clone(), map.clone());
                     nav.set_obs(make_obs());
                     let (records, _) = nav.run_relation(relation, black_box(&given)).expect("runs");
                     black_box(records.len())

@@ -193,6 +193,9 @@ struct QueryRun {
     index: usize,
     relation: Relation,
     simulated_ms: f64,
+    /// Real time from sending the query to holding its answer (an
+    /// injected failure and its re-run included).
+    real_ms: f64,
     /// This query's first attempt was broken by injection (cancelled
     /// or panicked) — `relation` is the clean re-run's answer.
     failed: bool,
@@ -203,6 +206,7 @@ struct ModeReport {
     wall_ms: f64,
     p50_simulated_ms: f64,
     p99_simulated_ms: f64,
+    p99_real_ms: f64,
     /// Injected failures, and how many of them re-ran to the correct
     /// answer (the equality gate fails the run if any did not).
     failed: u64,
@@ -222,12 +226,15 @@ fn finish(mut runs: Vec<QueryRun>, wall_ms: f64) -> ModeReport {
     runs.sort_by_key(|r| r.index);
     let mut sims: Vec<f64> = runs.iter().map(|r| r.simulated_ms).collect();
     sims.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
+    let mut reals: Vec<f64> = runs.iter().map(|r| r.real_ms).collect();
+    reals.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
     let failed = runs.iter().filter(|r| r.failed).count() as u64;
     ModeReport {
         qps: runs.len() as f64 / (wall_ms / 1000.0),
         wall_ms,
         p50_simulated_ms: percentile(&sims, 50.0),
         p99_simulated_ms: percentile(&sims, 99.0),
+        p99_real_ms: percentile(&reals, 99.0),
         failed,
         // Every failed attempt is re-run below; reaching the report at
         // all means the re-run produced an answer (panics abort).
@@ -259,6 +266,7 @@ fn run_query(
     isolated: bool,
     inject: Inject,
 ) -> QueryRun {
+    let start = Instant::now();
     let failed = match inject {
         Inject::Clean => false,
         Inject::Disconnect | Inject::Panic => {
@@ -281,6 +289,7 @@ fn run_query(
         index,
         relation: out.relation,
         simulated_ms: out.metrics.fetch_latency.sum_us as f64 / 1000.0,
+        real_ms: start.elapsed().as_secs_f64() * 1000.0,
         failed,
     }
 }
@@ -618,8 +627,14 @@ fn mode_json(name: &str, m: &ModeReport) -> String {
     format!(
         "    \"{name}\": {{ \"qps\": {:.1}, \"wall_ms\": {:.1}, \
          \"p50_simulated_ms\": {:.1}, \"p99_simulated_ms\": {:.1}, \
-         \"failed\": {}, \"recovered\": {} }}",
-        m.qps, m.wall_ms, m.p50_simulated_ms, m.p99_simulated_ms, m.failed, m.recovered
+         \"p99_real_ms\": {:.2}, \"failed\": {}, \"recovered\": {} }}",
+        m.qps,
+        m.wall_ms,
+        m.p50_simulated_ms,
+        m.p99_simulated_ms,
+        m.p99_real_ms,
+        m.failed,
+        m.recovered
     )
 }
 

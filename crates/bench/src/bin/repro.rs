@@ -138,7 +138,7 @@ fn main() {
     if want("--fig4") {
         section("Figure 4 — compiled navigation expressions (Newsday)");
         let map = wb.map_for("www.newsday.com").expect("newsday is mapped").clone();
-        let nav = SiteNavigator::new(wb.web.clone(), map);
+        let nav = SiteNavigator::standalone(wb.web.clone(), map);
         println!("{}", nav.render_program());
     }
     if want("--fig5") {

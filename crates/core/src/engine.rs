@@ -12,14 +12,19 @@
 //! What is shared engine-wide and what stays per query is the whole
 //! design:
 //!
-//! * **Shared**: the simulated Web, the compiled site programs
-//!   (`Arc<CompiledSite>`), the [`PageStore`] (fetch+parse once, every
-//!   query hits), the [`AnswerMemo`] (whole-invocation result reuse),
-//!   the per-host connection pools, and the tenant admission tracker.
-//! * **Per query**: the navigator oracles, the VPS catalog, the logical
-//!   layer, the `Obs` handle, and any `QueryBudget` — everything that
+//! * **Shared**: the simulated Web, the per-site runtimes
+//!   ([`SiteRuntime`]: map, compiled program, extraction specs, probe
+//!   catalogue, handles, semantics) behind one relation → site
+//!   [`SiteIndex`], the logical definitions, the [`PageStore`]
+//!   (fetch+parse once, every query hits), the [`AnswerMemo`]
+//!   (whole-invocation result reuse), the per-host connection pools,
+//!   and the tenant admission tracker.
+//! * **Per query**: the VPS catalog, the logical layer, the `Obs`
+//!   handle, any `QueryBudget`, and one navigator per site the query
+//!   actually invokes (built on first invocation) — everything that
 //!   carries query state, so tenants can never observe each other's
-//!   traces, budgets, or degradation.
+//!   traces, budgets, or degradation, and a session costs O(1) plus the
+//!   sites its plan touches, not O(corpus).
 //!
 //! Multi-tenant admission reuses the navigation layer's max-min
 //! fair-share [`BudgetTracker`] with *tenant names* where hosts
@@ -37,21 +42,20 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webbase_logical::{LogicalLayer, LogicalRelation, Obs, QueryObservation};
 use webbase_navigation::drift::events_from_repairs;
-use webbase_navigation::map::NavigationMap;
 use webbase_navigation::map::NodeId;
 use webbase_navigation::recorder::{MapStats, Recorder};
 use webbase_navigation::store::ReadSet;
 use webbase_navigation::{
-    compile_map, sweep, BudgetDenial, BudgetSnapshot, BudgetTracker, CancelToken, CompiledSite,
-    DegradationReport, DriftBus, DriftEvent, DriftKind, DriftOrigin, FetchPolicy, HostPools,
-    PageStore, QueryBudget, RepairReport, ResumeToken, SweepReport, WalRecovery, WriteAheadLog,
+    sweep, BudgetDenial, BudgetSnapshot, BudgetTracker, CancelToken, DegradationReport, DriftBus,
+    DriftEvent, DriftKind, DriftOrigin, FetchPolicy, HostPools, PageStore, QueryBudget,
+    RepairReport, ResumeToken, SweepReport, WalRecovery, WriteAheadLog,
 };
 use webbase_obs::sync::{SafeMutex, SafeRwLock};
 use webbase_relational::eval::{AccessSpec, Evaluator};
 use webbase_relational::{BaseDelta, Expr, Incremental, Relation};
 use webbase_ur::plan::{UrError, UrPlan, UrPlanner};
 use webbase_ur::query::{parse_query, UrQuery};
-use webbase_vps::{derive_handles, AnswerMemo, Handle, MemoClaim, MemoKey, VpsCatalog};
+use webbase_vps::{AnswerMemo, Invocation, MemoClaim, MemoKey, SiteIndex, SiteRuntime, VpsCatalog};
 use webbase_vps::{Metric, MetricsRegistry, MetricsSnapshot};
 use webbase_webworld::prelude::*;
 use webbase_webworld::request::Request;
@@ -214,6 +218,10 @@ pub struct QueryOutcome {
     pub plan: UrPlan,
     pub observation: Option<QueryObservation>,
     pub metrics: MetricsSnapshot,
+    /// Site navigators this query's session built: one per distinct
+    /// site whose relation it ran (memo and result-cache hits build
+    /// none). A work counter, independent of corpus size.
+    pub navigators_built: usize,
 }
 
 /// Engine-level errors. `Deferred` is load shedding, not failure.
@@ -340,18 +348,6 @@ pub struct EngineStats {
     pub readset_escape: u64,
 }
 
-struct SiteArtifacts {
-    map: NavigationMap,
-    compiled: Arc<CompiledSite>,
-    /// Handles derived once at build time; sessions reuse them instead
-    /// of re-walking the map graph per query.
-    handles: Vec<Handle>,
-    /// The abstract interpreter's verdict (fetch-cost intervals and
-    /// static read-sets), computed once at build time and handed to
-    /// every session's catalog.
-    semantics: Arc<webbase_webcheck::SiteSemantics>,
-}
-
 /// Everything the engine remembers about one published result-cache
 /// entry, for precise drift invalidation and incremental refresh.
 struct ViewRecord {
@@ -359,16 +355,22 @@ struct ViewRecord {
     /// last drift touching their deps are current by definition.
     epoch: u64,
     /// Every page request the published answer read (tracked reads plus
-    /// memo-hit dependency replays).
-    deps: Vec<Request>,
+    /// memo-hit dependency replays). A one-invocation view shares the
+    /// list with that invocation's memo entry.
+    deps: Arc<[Request]>,
     /// Per-object results, in plan order (empty for journal-recovered
-    /// entries — those refresh by re-evaluation, not delta).
-    object_results: Vec<Relation>,
+    /// entries — those refresh by re-evaluation, not delta). A
+    /// one-object plan's result *is* the published answer: the same
+    /// allocation the result cache serves.
+    object_results: Vec<Arc<Relation>>,
     /// The VPS relations each object reads, for mapping a changed page
-    /// up to the objects it can affect.
-    object_rels: Vec<BTreeSet<String>>,
-    /// VPS invocations (memo key + page deps) the answer was built from.
-    invocations: Vec<(MemoKey, Vec<Request>)>,
+    /// up to the objects it can affect (empty for one-object plans,
+    /// which never refresh by delta).
+    object_rels: Vec<Box<[String]>>,
+    /// VPS invocations the answer was built from: memo key + the
+    /// positions of the invocation's page deps in `deps` (empty, like
+    /// `object_rels`, for one-object plans).
+    invocations: Vec<(MemoKey, Vec<u32>)>,
     /// Changed page requests accumulated since invalidation.
     pending: HashSet<Request>,
     /// A node/site-scoped event tainted the whole host: per-page delta
@@ -379,7 +381,7 @@ struct ViewRecord {
     /// dynamic deps always fall inside this set (the `readset_escape`
     /// tripwire pins that), so host-scoped drift can consult it even
     /// when per-page provenance is missing (journal-recovered entries).
-    static_hosts: BTreeSet<String>,
+    static_hosts: Box<[String]>,
 }
 
 /// The freshness ledger: which cached views depend on which pages, and
@@ -397,6 +399,17 @@ struct Freshness {
     /// Views invalidated by drift and not yet re-published.
     drifted: BTreeSet<String>,
     views: HashMap<String, ViewRecord>,
+}
+
+impl Freshness {
+    /// Did drift applied after `epoch` touch one of `deps`, or taint one
+    /// of their hosts or of the statically readable `hosts`?
+    fn drifted_since(&self, epoch: u64, deps: &[Request], hosts: &[String]) -> bool {
+        let after = |e: Option<&u64>| e.is_some_and(|&e| e > epoch);
+        deps.iter()
+            .any(|r| after(self.page_drift.get(r)) || after(self.host_drift.get(&r.url.host)))
+            || hosts.iter().any(|h| after(self.host_drift.get(h)))
+    }
 }
 
 /// What one [`Engine::refresh`] pass did: the page-level sweep findings
@@ -492,8 +505,10 @@ struct EngineInner {
     /// The synthetic dataset behind the corpus, when it has one (the
     /// car demo does; generated corpora carry data inside their specs).
     data: Option<Arc<Dataset>>,
-    sites: Vec<SiteArtifacts>,
-    relations: Vec<LogicalRelation>,
+    /// Every site's runtime, built once; each session's catalog shares
+    /// the index and builds navigators only for the sites it invokes.
+    sites: Arc<SiteIndex>,
+    relations: Arc<[LogicalRelation]>,
     planner: UrPlanner,
     policy: FetchPolicy,
     store: PageStore,
@@ -507,7 +522,8 @@ struct EngineInner {
     /// it — traced ones so the Plan span is real, isolated ones
     /// because the cache is one of the shared resources the baseline
     /// must not touch.
-    plans: SafeRwLock<HashMap<String, Arc<(UrQuery, UrPlan)>>>,
+    /// The plan carries its base parse (`UrPlan::query`).
+    plans: SafeRwLock<HashMap<String, Arc<UrPlan>>>,
     /// Whole-query result cache, keyed by query text, with the same
     /// singleflight protocol as the invocation memo: when N identical
     /// queries arrive at once, one session executes and the rest wait
@@ -589,7 +605,7 @@ impl Engine {
         corpus: crate::corpus::Corpus,
         config: EngineConfig,
     ) -> Result<Engine, WebbaseError> {
-        let mut sites = Vec::new();
+        let mut sites = SiteIndex::new();
         let mut stats: Vec<(String, MapStats)> = Vec::new();
         let mut preflight = webbase_webcheck::Report::new();
         for site in &corpus.sites {
@@ -600,14 +616,13 @@ impl Engine {
             }
             let (map, s) = recorder.finish();
             // The single analysis entry point: lint + program safety +
-            // the abstract interpreter, once per map per build. The
-            // derived semantics ride along in the shared artifacts.
-            let (report, semantics) = webbase_webcheck::analyze_full(&map);
+            // the abstract interpreter, once per map per build, with
+            // compilation and handle derivation. The derived semantics
+            // ride along in the shared runtime.
+            let (runtime, report) = SiteRuntime::analyze(web.clone(), map);
             preflight.merge(report);
             stats.push((site.host.clone(), s));
-            let compiled = Arc::new(compile_map(&map));
-            let handles = derive_handles(&map);
-            sites.push(SiteArtifacts { map, compiled, handles, semantics: Arc::new(semantics) });
+            sites.add(Arc::new(runtime));
         }
         let store = match config.page_capacity {
             Some(cap) => PageStore::with_capacity(cap),
@@ -636,8 +651,8 @@ impl Engine {
             inner: Arc::new(EngineInner {
                 web,
                 data: corpus.data,
-                sites,
-                relations: corpus.relations,
+                sites: Arc::new(sites),
+                relations: corpus.relations.into(),
                 planner: UrPlanner::new(corpus.hierarchy, corpus.rules),
                 policy: config.policy,
                 store,
@@ -691,14 +706,16 @@ impl Engine {
                     let hosts = Engine::plan_semantics(&plan, &layer)
                         .map(|s| s.hosts())
                         .unwrap_or_default();
-                    (base, plan, hosts)
+                    (plan, hosts)
                 })
             });
             match replay {
-                Some((base, plan, static_hosts)) => {
-                    let entry = Arc::new((base, plan));
-                    engine.inner.plans.write().insert(text.clone(), entry);
-                    engine.inner.results.insert(AnswerMemo::key(text, &[]), relation.clone());
+                Some((plan, static_hosts)) => {
+                    engine.inner.plans.write().insert(text.clone(), Arc::new(plan));
+                    engine
+                        .inner
+                        .results
+                        .insert(AnswerMemo::key(text, &[]), Arc::new(relation.clone()));
                     // The journal carries the result's page deps, so a
                     // recovered entry keeps being invalidated precisely.
                     // Per-object provenance is not journalled: recovered
@@ -707,13 +724,13 @@ impl Engine {
                         text.clone(),
                         ViewRecord {
                             epoch: 0,
-                            deps: deps.clone(),
+                            deps: Arc::from(deps.as_slice()),
                             object_results: Vec::new(),
                             object_rels: Vec::new(),
                             invocations: Vec::new(),
                             pending: HashSet::new(),
                             pending_host_wide: false,
-                            static_hosts,
+                            static_hosts: static_hosts.into_iter().collect(),
                         },
                     );
                     recovered_results += 1;
@@ -727,9 +744,9 @@ impl Engine {
         Ok(engine)
     }
 
-    /// A fresh per-query session over the shared artifacts: private
-    /// navigators and catalog, shared compiled programs, page store,
-    /// connection pools, and answer memo.
+    /// A fresh per-query session over the shared runtimes: private
+    /// catalog (navigators built on first invocation), shared page
+    /// store, connection pools, and answer memo.
     fn new_session(&self) -> LogicalLayer {
         self.session_with(
             self.inner.store.clone(),
@@ -765,18 +782,11 @@ impl Engine {
         memo: Option<AnswerMemo>,
     ) -> LogicalLayer {
         let inner = &self.inner;
-        let mut catalog = VpsCatalog::new();
-        for site in &inner.sites {
-            catalog.add_map_compiled(
-                inner.web.clone(),
-                site.map.clone(),
-                site.compiled.clone(),
-                &site.handles,
-                site.semantics.clone(),
-                inner.policy,
-                store.clone(),
-                pool.clone(),
-            );
+        let mut catalog = VpsCatalog::with_sites(inner.sites.clone());
+        catalog.set_policy(inner.policy);
+        catalog.set_store(store);
+        if let Some(pool) = pool {
+            catalog.set_pool(pool);
         }
         if let Some(memo) = memo {
             catalog.set_memo(memo);
@@ -834,7 +844,7 @@ impl Engine {
             inner.plans.read().get(text).cloned()
         };
         let mut q = match &cached {
-            Some(entry) => entry.0.clone(),
+            Some(plan) => plan.query.clone(),
             None => parse_query(text).map_err(EngineError::Query)?,
         };
         if let Some(budget) = options.budget.clone() {
@@ -899,7 +909,7 @@ impl Engine {
         options: &QueryOptions,
         isolated: bool,
         cancel: &CancelToken,
-        cached: Option<&(UrQuery, UrPlan)>,
+        cached: Option<&UrPlan>,
     ) -> Result<QueryOutcome, EngineError> {
         let inner = &self.inner;
         // Whole-query singleflight over the result cache: when N
@@ -922,12 +932,13 @@ impl Engine {
                         // The leader populated the plan cache before it
                         // executed, so a hit always finds the clean plan.
                         let entry = inner.plans.read().get(text).cloned();
-                        if let Some(entry) = entry {
+                        if let Some(plan) = entry {
                             return Ok(QueryOutcome {
-                                relation,
-                                plan: entry.1.clone(),
+                                relation: Relation::clone(&relation),
+                                plan: UrPlan::clone(&plan),
                                 observation: None,
                                 metrics: MetricsSnapshot::default(),
+                                navigators_built: 0,
                             });
                         }
                     }
@@ -938,6 +949,9 @@ impl Engine {
         } else {
             None
         };
+        // The drift clock before this run reads any page (see
+        // `record_view`).
+        let since = result_lead.as_ref().map_or(0, |_| inner.freshness.lock().epoch);
         let mut reads = None;
         let mut layer = if isolated {
             self.isolated_session()
@@ -963,7 +977,7 @@ impl Engine {
             if let Some(quota) = options.budget.as_ref().and_then(|b| b.max_fetches) {
                 let planned;
                 let plan_ref = match cached {
-                    Some(entry) => Some(&entry.1),
+                    Some(plan) => Some(plan),
                     None => {
                         planned = parse_query(text)
                             .ok()
@@ -1002,10 +1016,9 @@ impl Engine {
                 .map_err(EngineError::Plan)
         } else {
             match cached {
-                Some(entry) => inner
-                    .planner
-                    .execute_planned(q, &entry.1, &mut layer)
-                    .map_err(EngineError::Plan),
+                Some(plan) => {
+                    inner.planner.execute_planned(q, plan, &mut layer).map_err(EngineError::Plan)
+                }
                 None if !isolated && !options.trace => {
                     let entry = {
                         let mut plans = inner.plans.write();
@@ -1014,13 +1027,17 @@ impl Engine {
                             None => {
                                 // Plan from the *base* parse: a budget on
                                 // `q` must not leak into the shared cache.
-                                parse_query(text).map_err(EngineError::Query).and_then(|base| {
+                                let base = match q.budget {
+                                    None => Ok(q.clone()),
+                                    Some(_) => parse_query(text).map_err(EngineError::Query),
+                                };
+                                base.and_then(|base| {
                                     inner
                                         .planner
                                         .plan(&base, &layer)
                                         .map_err(EngineError::Plan)
                                         .map(|plan| {
-                                            let entry = Arc::new((base, plan));
+                                            let entry = Arc::new(plan);
                                             plans.insert(text.to_string(), entry.clone());
                                             entry
                                         })
@@ -1028,10 +1045,10 @@ impl Engine {
                             }
                         }
                     };
-                    entry.and_then(|entry| {
+                    entry.and_then(|plan| {
                         inner
                             .planner
-                            .execute_planned(q, &entry.1, &mut layer)
+                            .execute_planned(q, &plan, &mut layer)
                             .map_err(EngineError::Plan)
                     })
                 }
@@ -1044,12 +1061,11 @@ impl Engine {
         // over-approximates, so an escape is an analysis bug, not
         // drift). Memo-replayed deps come from the same relations, so
         // they are covered too.
-        if let Some(reads) = &reads {
-            if let Some(semantics) = Self::plan_semantics(&plan, &layer) {
-                let hosts = semantics.hosts();
-                if reads.all().iter().any(|r| !hosts.contains(&r.url.host)) {
-                    inner.drift_metrics.inc(Metric::ReadsetEscape);
-                }
+        let deps = reads.as_ref().map(ReadSet::all).unwrap_or_default();
+        let semantics = reads.as_ref().and_then(|_| Self::plan_semantics(&plan, &layer));
+        if let Some(semantics) = &semantics {
+            if deps.iter().any(|r| !semantics.read.contains_key(&r.url.host)) {
+                inner.drift_metrics.inc(Metric::ReadsetEscape);
             }
         }
         // Self-healing quarantined a node during this execution: the
@@ -1067,19 +1083,17 @@ impl Engine {
         // full result. (An error return above drops the guard instead,
         // releasing the key so a waiting session takes over as leader.)
         if let Some(guard) = result_lead {
-            let publish =
-                (plan.degradation.is_clean() && plan.resume.is_none()).then(|| relation.clone());
-            if let Some(rel) = &publish {
-                let deps = reads.as_ref().map(ReadSet::all).unwrap_or_default();
-                self.record_view(text, rel, &plan, &layer, deps);
-            }
+            let publish = (plan.degradation.is_clean() && plan.resume.is_none())
+                .then(|| Arc::new(relation.clone()))
+                .filter(|rel| self.record_view(text, rel, &plan, &layer, deps, semantics, since));
             guard.settle(publish);
         }
         let metrics = obs.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default();
         let observation = options
             .trace
             .then(|| QueryObservation { trace: obs.sink.finish(), metrics: metrics.clone() });
-        Ok(QueryOutcome { relation, plan, observation, metrics })
+        let navigators_built = layer.vps.navigators_built();
+        Ok(QueryOutcome { relation, plan, observation, metrics, navigators_built })
     }
 
     /// Serve-side of the freshness contract: the result-cache value for
@@ -1092,7 +1106,7 @@ impl Engine {
     /// same lock, synchronously with the event) makes that impossible,
     /// which is exactly what the consistency suites pin by asserting
     /// the counter stays zero.
-    fn fresh_hit(&self, text: &str) -> Option<Relation> {
+    fn fresh_hit(&self, text: &str) -> Option<Arc<Relation>> {
         let inner = &self.inner;
         let ledger = inner.freshness.lock();
         if ledger.drifted.contains(text) {
@@ -1100,15 +1114,10 @@ impl Engine {
         }
         let relation = inner.results.peek(&AnswerMemo::key(text, &[]))?;
         if let Some(record) = ledger.views.get(text) {
-            let stale = record.deps.iter().any(|r| {
-                ledger.page_drift.get(r).copied().unwrap_or(0) > record.epoch
-                    || ledger.host_drift.get(&r.url.host).copied().unwrap_or(0) > record.epoch
-            }) || record.static_hosts.iter().any(|h| {
-                // The static pre-seed backstops missing page provenance:
-                // host-wide drift on any host the plan *can* read makes
-                // the entry suspect even without a recorded dep there.
-                ledger.host_drift.get(h).copied().unwrap_or(0) > record.epoch
-            });
+            // The static pre-seed backstops missing page provenance:
+            // host-wide drift on any host the plan *can* read makes the
+            // entry suspect even without a recorded dep there.
+            let stale = ledger.drifted_since(record.epoch, &record.deps, &record.static_hosts);
             if stale {
                 inner.drift_metrics.inc(Metric::StaleServed);
                 return None; // refuse even here: recompute beats serving stale
@@ -1171,33 +1180,69 @@ impl Engine {
     /// the journal) with everything a later drift event needs: its page
     /// deps, its per-object values, which VPS relations each object
     /// reads, and the plan's static host set.
+    ///
+    /// `since` is the drift clock from before the run read its first
+    /// page. Drift applied after it may have hit a page the run read
+    /// before the sweep replaced it, and could not evict this view then
+    /// because it was not yet published. Such an answer is refused
+    /// (`false`): the caller must not serve it, and the next query or
+    /// refresh recomputes it.
+    #[allow(clippy::too_many_arguments)]
     fn record_view(
         &self,
         text: &str,
-        relation: &Relation,
+        relation: &Arc<Relation>,
         plan: &UrPlan,
         layer: &LogicalLayer,
-        deps: Vec<Request>,
-    ) {
+        mut deps: Vec<Request>,
+        semantics: Option<PlanSemantics>,
+        since: u64,
+    ) -> bool {
         let inner = &self.inner;
-        let object_rels = Self::plan_vps_rels(plan, layer);
-        let static_hosts = Self::plan_semantics(plan, layer).map(|s| s.hosts()).unwrap_or_default();
-        let invocations: Vec<(MemoKey, Vec<Request>)> =
-            layer.vps.invocation_log().iter().map(|(k, _, d)| (k.clone(), d.clone())).collect();
-        if let Some(wal) = &inner.wal {
-            // Best-effort, like page journalling: losing the record
-            // costs warm-restart coverage, not the answer.
-            let _ = wal.append_result(text, relation, &deps);
-        }
+        // Sorted slices, not sets: every published text keeps a ledger
+        // entry, so the entry must stay small.
+        let static_hosts: Box<[String]> =
+            semantics.map(|s| s.read.into_keys().collect()).unwrap_or_default();
+        let log = layer.vps.invocation_log();
+        // Per-object provenance only serves the delta rung, which needs
+        // a strict subset of several objects: a one-object plan always
+        // refreshes by re-evaluation and keeps none.
+        let (object_rels, invocations) = if plan.objects.len() > 1 {
+            let rels = Self::plan_vps_rels(plan, layer);
+            let rels = rels.into_iter().map(|r| r.into_iter().collect()).collect();
+            (rels, invocation_positions(log, &mut deps))
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let deps: Arc<[Request]> = match log {
+            [(_, _, only)] if **only == *deps => only.clone(),
+            _ => deps.into(),
+        };
+        // The answer is the union of the object results, so a one-object
+        // plan's object is the answer itself: share that allocation.
+        let object_results = match plan.object_results.as_slice() {
+            [_] => vec![relation.clone()],
+            objects => objects.iter().cloned().map(Arc::new).collect(),
+        };
         let mut ledger = inner.freshness.lock();
         let epoch = ledger.epoch;
+        if epoch != since && ledger.drifted_since(since, &deps, &static_hosts) {
+            return false;
+        }
+        if let Some(wal) = &inner.wal {
+            // Best-effort, like page journalling: losing the record
+            // costs warm-restart coverage, not the answer. Journalled
+            // under the ledger lock, so a later invalidation of this
+            // view is always journalled after it.
+            let _ = wal.append_result(text, relation, &deps);
+        }
         ledger.drifted.remove(text);
         ledger.views.insert(
             text.to_string(),
             ViewRecord {
                 epoch,
                 deps,
-                object_results: plan.object_results.clone(),
+                object_results,
                 object_rels,
                 invocations,
                 pending: HashSet::new(),
@@ -1205,6 +1250,7 @@ impl Engine {
                 static_hosts,
             },
         );
+        true
     }
 
     /// React to one drift event: bump the drift clock, evict exactly
@@ -1324,7 +1370,7 @@ impl Engine {
             // replay failed): stays evicted until someone queries it.
             return RefreshOutcome::Evicted;
         };
-        let (query, plan) = (&plan_entry.0, &plan_entry.1);
+        let (query, plan) = (&plan_entry.query, &*plan_entry);
         let snapshot = {
             let ledger = inner.freshness.lock();
             ledger.views.get(text).map(|r| {
@@ -1348,8 +1394,10 @@ impl Engine {
                 return None;
             }
             let mut affected_rels: BTreeSet<String> = BTreeSet::new();
-            for (key, inv_deps) in &invocations {
-                if inv_deps.is_empty() || inv_deps.iter().any(|d| pending.contains(d)) {
+            for (key, positions) in &invocations {
+                if positions.is_empty()
+                    || positions.iter().any(|&i| pending.contains(&deps[i as usize]))
+                {
                     affected_rels.insert(key.0.clone());
                 }
             }
@@ -1371,26 +1419,29 @@ impl Engine {
         // entries drift touched are already evicted, so this re-runs
         // exactly the affected invocations — against the refreshed
         // store — and memo-hits the rest.
+        let since = inner.freshness.lock().epoch;
         let (mut layer, reads) = self.tracked_session();
         layer.vps.set_obs(Obs::metrics_only(Arc::new(MetricsRegistry::new())));
-        match inner.planner.execute_planned(query, plan, &mut layer) {
-            Ok((relation, executed)) if executed.degradation.is_clean() => {
+        if let Ok((relation, executed)) = inner.planner.execute_planned(query, plan, &mut layer) {
+            if executed.degradation.is_clean() {
                 // Structural drift found while rebuilding taints its
                 // host like healing-time drift — dependants evict
                 // before this view re-publishes at the bumped epoch.
                 self.publish_quarantines(&executed.repairs);
-                inner.results.insert(AnswerMemo::key(text, &[]), relation.clone());
-                self.record_view(text, &relation, &executed, &layer, reads.all());
-                inner.drift_metrics.inc(Metric::ColdRefresh);
-                RefreshOutcome::Cold
-            }
-            _ => {
-                // Rung 3: stay evicted; counted as a cold fallback so
-                // the bench's refresh column reflects the failed path.
-                inner.drift_metrics.inc(Metric::ColdRefresh);
-                RefreshOutcome::Evicted
+                let relation = Arc::new(relation);
+                let semantics = Self::plan_semantics(&executed, &layer);
+                let deps = reads.all();
+                if self.record_view(text, &relation, &executed, &layer, deps, semantics, since) {
+                    inner.results.insert(AnswerMemo::key(text, &[]), relation);
+                    inner.drift_metrics.inc(Metric::ColdRefresh);
+                    return RefreshOutcome::Cold;
+                }
             }
         }
+        // Rung 3: stay evicted; counted as a cold fallback so the
+        // bench's refresh column reflects the failed path.
+        inner.drift_metrics.inc(Metric::ColdRefresh);
+        RefreshOutcome::Evicted
     }
 
     /// Publish the quarantines of one execution's repair report on the
@@ -1413,17 +1464,18 @@ impl Engine {
         &self,
         text: &str,
         plan: &UrPlan,
-        old_objects: &[Relation],
+        old_objects: &[Arc<Relation>],
         affected: &[usize],
-        old_deps: Vec<Request>,
+        old_deps: Arc<[Request]>,
     ) -> Option<RefreshOutcome> {
         let inner = &self.inner;
+        let since = inner.freshness.lock().epoch;
         let (mut layer, reads) = self.tracked_session();
         layer.vps.set_obs(Obs::metrics_only(Arc::new(MetricsRegistry::new())));
         let mut new_objects = old_objects.to_vec();
         for &i in affected {
             match Evaluator::new(&mut layer).eval(&plan.objects[i].expr, &AccessSpec::new()) {
-                Ok(rel) => new_objects[i] = rel,
+                Ok(rel) => new_objects[i] = Arc::new(rel),
                 Err(_) => return None,
             }
         }
@@ -1436,10 +1488,11 @@ impl Engine {
         let mut expr: Option<Expr> = None;
         for i in 0..old_objects.len() {
             let name = format!("object{i}");
+            let old = Relation::clone(&old_objects[i]);
             let base = if affected.contains(&i) {
-                BaseDelta { old: old_objects[i].clone(), new: new_objects[i].clone() }
+                BaseDelta { old, new: Relation::clone(&new_objects[i]) }
             } else {
-                BaseDelta::unchanged(old_objects[i].clone())
+                BaseDelta::unchanged(old)
             };
             bases.insert(name.clone(), base);
             let rel = Expr::relation(&name);
@@ -1454,34 +1507,50 @@ impl Engine {
         // New provenance: the refreshed session's reads (memo-hit
         // replays included) plus the carried-over deps of the objects
         // we did not touch.
-        let mut deps = old_deps;
+        let mut deps = old_deps.to_vec();
         for r in reads.all() {
             if !deps.contains(&r) {
                 deps.push(r);
             }
         }
-        let refreshed_invocations: Vec<(MemoKey, Vec<Request>)> =
-            layer.vps.invocation_log().iter().map(|(k, _, d)| (k.clone(), d.clone())).collect();
+        let refreshed_invocations = invocation_positions(layer.vps.invocation_log(), &mut deps);
+        let mut ledger = inner.freshness.lock();
+        let epoch = ledger.epoch;
+        // Drift during the refresh: re-evaluate instead (see
+        // `record_view`).
+        let hosts = ledger.views.get(text).map_or(&[][..], |r| &r.static_hosts[..]);
+        if epoch != since && ledger.drifted_since(since, &deps, hosts) {
+            return None;
+        }
         if let Some(wal) = &inner.wal {
             let _ = wal.append_result(text, &value, &deps);
         }
-        let mut ledger = inner.freshness.lock();
-        let epoch = ledger.epoch;
-        inner.results.insert(AnswerMemo::key(text, &[]), value);
+        inner.results.insert(AnswerMemo::key(text, &[]), Arc::new(value));
         ledger.drifted.remove(text);
         if let Some(rec) = ledger.views.get_mut(text) {
+            // Kept invocations index the deps this refresh started from;
+            // they stay valid only if the record still has those deps.
+            let lined_up = deps.starts_with(&rec.deps);
             rec.epoch = epoch;
-            rec.deps = deps;
-            rec.object_results = new_objects;
+            rec.deps = deps.into();
             rec.pending.clear();
             rec.pending_host_wide = false;
-            // Merge: re-run invocations replace their old entries;
-            // untouched objects keep theirs.
-            for (key, inv_deps) in refreshed_invocations {
-                match rec.invocations.iter_mut().find(|(k, _)| *k == key) {
-                    Some(slot) => slot.1 = inv_deps,
-                    None => rec.invocations.push((key, inv_deps)),
+            if lined_up {
+                rec.object_results = new_objects;
+                // Merge: re-run invocations replace their old entries;
+                // untouched objects keep theirs.
+                for (key, positions) in refreshed_invocations {
+                    match rec.invocations.iter_mut().find(|(k, _)| *k == key) {
+                        Some(slot) => slot.1 = positions,
+                        None => rec.invocations.push((key, positions)),
+                    }
                 }
+            } else {
+                // The view was republished meanwhile: per-object
+                // provenance no longer lines up, so its next refresh
+                // re-evaluates instead of delta-propagating.
+                rec.object_results.clear();
+                rec.invocations = refreshed_invocations;
             }
         }
         inner.drift_metrics.inc(Metric::DeltaRefresh);
@@ -1684,6 +1753,33 @@ impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         self.inner.inflight.lock().remove(&self.id);
     }
+}
+
+/// Each logged invocation's page deps as positions in `deps`, so the
+/// ledger keeps one copy of every request. The log's deps are slices of
+/// the same session's reads, so they are normally all present; a missing
+/// one is appended rather than dropped.
+fn invocation_positions(log: &[Invocation], deps: &mut Vec<Request>) -> Vec<(MemoKey, Vec<u32>)> {
+    let mut extra: Vec<Request> = Vec::new();
+    let positions = {
+        let mut at: HashMap<&Request, u32> = deps.iter().zip(0..).collect();
+        log.iter()
+            .map(|(key, _, reads)| {
+                let positions = reads
+                    .iter()
+                    .map(|r| {
+                        *at.entry(r).or_insert_with(|| {
+                            extra.push(r.clone());
+                            (deps.len() + extra.len() - 1) as u32
+                        })
+                    })
+                    .collect();
+                (key.clone(), positions)
+            })
+            .collect()
+    };
+    deps.extend(extra);
+    positions
 }
 
 /// Extract a human-readable message from a caught panic payload
@@ -2263,6 +2359,97 @@ mod tests {
         let served = engine.query("t2", FORD, QueryOptions::default()).expect("runs").relation;
         assert_eq!(served, expected, "post-quarantine answer diverged from a cold re-run");
         assert_eq!(engine.stats().stale_served, 0);
+    }
+
+    #[test]
+    fn a_quarantine_found_by_a_lazily_built_navigator_evicts_dependent_views() {
+        // A one-page store: the second query's session, the first to
+        // build newsday's navigator after the drift, meets the renamed
+        // field live and quarantines the node. The quarantine must still
+        // reach the drift bus and evict the cached ford view.
+        let data = Dataset::generate(5, 400);
+        let slot = std::sync::Mutex::new(None);
+        let schedule = vec![Mutation::new("name=make>", "name=mk2>").on_path("/auto/used")];
+        let web = standard_web_faulty(data.clone(), LatencyModel::lan(), |h, s| {
+            if h == NEWSDAY {
+                let (site, clock) = MutatingSite::new(s, schedule.clone());
+                *slot.lock().expect("clock slot") = Some(clock);
+                Box::new(site) as Box<dyn Site>
+            } else {
+                s
+            }
+        });
+        let config = EngineConfig { page_capacity: Some(1), ..EngineConfig::default() };
+        let engine = Engine::build_on(web, data, config).expect("builds");
+        let clock = slot.lock().expect("clock slot").take().expect("newsday wrapped");
+        engine.query("t", FORD, QueryOptions::default()).expect("ford");
+        clock.advance();
+
+        let out = engine
+            .query("t2", "UsedCarUR(make='honda', price)", QueryOptions::default())
+            .expect("honda");
+        assert!(out.navigators_built > 0);
+        let quarantined = out.plan.repairs.quarantined_nodes();
+        assert!(quarantined.iter().any(|(host, _, _)| *host == NEWSDAY), "{:?}", out.plan.repairs);
+        let stats = engine.stats();
+        assert!(stats.view_invalidated >= 1, "the ford view reads newsday: {stats:?}");
+        let misses = stats.result_misses;
+        let served = engine.query("t3", FORD, QueryOptions::default()).expect("ford again");
+        assert_eq!(engine.stats().result_misses, misses + 1, "the quarantined view was served");
+        assert_eq!(served.relation, oracle(&engine, FORD));
+        assert_eq!(engine.stats().stale_served, 0);
+    }
+
+    #[test]
+    fn the_result_cache_and_the_ledger_share_one_answer() {
+        let gen = webbase_webworld::generate::GenCorpus::generate(11, 4);
+        let engine = Engine::build_corpus(
+            gen.web(LatencyModel::lan()),
+            crate::corpus::Corpus::generated(&gen),
+            EngineConfig::default(),
+        )
+        .expect("builds");
+        let text = gen.specs[0].exemplar_query();
+        let out = engine.query("t", &text, QueryOptions::default()).expect("runs");
+        assert_eq!(out.plan.objects.len(), 1, "a one-object plan");
+        let cached = engine.inner.results.peek(&AnswerMemo::key(&text, &[])).expect("published");
+        let ledger = engine.inner.freshness.lock();
+        let view = &ledger.views[&text];
+        assert!(Arc::ptr_eq(&cached, &view.object_results[0]), "the ledger copied the answer");
+        assert!(view.invocations.is_empty() && view.object_rels.is_empty());
+        // A one-invocation view shares its deps with the memo entry.
+        assert!(Arc::strong_count(&view.deps) >= 2, "the ledger copied the deps");
+    }
+
+    #[test]
+    fn an_answer_computed_across_a_drift_is_not_published() {
+        // A sweep changes a page this answer read *while* it was being
+        // computed: the view was not published yet, so the drift could
+        // not evict it, and publishing it now would serve it stale.
+        let engine = Engine::build_demo(5, 400, LatencyModel::lan());
+        let since = engine.inner.freshness.lock().epoch;
+        let (mut layer, reads) = engine.tracked_session();
+        let query = parse_query(FORD).expect("parses");
+        let (relation, plan) = engine.inner.planner.execute(&query, &mut layer).expect("runs");
+        let relation = Arc::new(relation);
+        let deps = reads.all();
+        engine.drift_bus().publish(DriftEvent {
+            host: deps[0].url.host.clone(),
+            kind: DriftKind::PageChanged,
+            origin: DriftOrigin::Sweep,
+            requests: vec![deps[0].clone()],
+            node: None,
+        });
+        let semantics = Engine::plan_semantics(&plan, &layer);
+        let published =
+            engine.record_view(FORD, &relation, &plan, &layer, deps.clone(), semantics, since);
+        assert!(!published, "a view computed across drift was published");
+        assert_eq!(engine.freshness().tracked_views, 0);
+        // Computed after the drift, the same answer publishes.
+        let now = engine.inner.freshness.lock().epoch;
+        let semantics = Engine::plan_semantics(&plan, &layer);
+        assert!(engine.record_view(FORD, &relation, &plan, &layer, deps, semantics, now));
+        assert_eq!(engine.freshness().tracked_views, 1);
     }
 
     #[test]

@@ -110,7 +110,7 @@ fn run_one_with(
     model: &str,
     budget: Option<Arc<BudgetTracker>>,
 ) -> SiteTiming {
-    let nav = SiteNavigator::new(web.clone(), map.clone());
+    let nav = SiteNavigator::standalone(web.clone(), map.clone());
     if let Some(b) = budget {
         nav.set_budget(b);
     }

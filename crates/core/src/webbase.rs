@@ -285,7 +285,7 @@ pub fn check_stack(
         .relations()
         .map(|name| VpsRelSpec {
             name: name.to_string(),
-            site: vps.navigator(name).map(|n| n.map.site.clone()).unwrap_or_default(),
+            site: vps.relation_host(name).unwrap_or_default().to_string(),
             attrs: attrs_of(vps.schema(name)),
             handles: vps
                 .handles(name)

@@ -10,21 +10,24 @@
 //! (the classical "layers all the way down" of Figure 1).
 
 use crate::schema::LogicalRelation;
+use std::sync::Arc;
 use webbase_relational::binding::{propagate, BindingSet};
 use webbase_relational::eval::{AccessSpec, EvalError, Evaluator, RelationProvider};
 use webbase_relational::{Relation, Schema};
 use webbase_vps::{SpanKind, VpsCatalog, QUERY_TRACK};
 
-/// The logical layer: definitions + the VPS beneath them.
+/// The logical layer: definitions + the VPS beneath them. The
+/// definitions are immutable and shared (`Arc`), so every session over
+/// one engine reads the same list.
 pub struct LogicalLayer {
     pub vps: VpsCatalog,
-    relations: Vec<LogicalRelation>,
+    relations: Arc<[LogicalRelation]>,
     relaxed_union: bool,
 }
 
 impl LogicalLayer {
-    pub fn new(vps: VpsCatalog, relations: Vec<LogicalRelation>) -> LogicalLayer {
-        LogicalLayer { vps, relations, relaxed_union: false }
+    pub fn new(vps: VpsCatalog, relations: impl Into<Arc<[LogicalRelation]>>) -> LogicalLayer {
+        LogicalLayer { vps, relations: relations.into(), relaxed_union: false }
     }
 
     /// Accept partial answers from unions with un-invocable sides (the
@@ -47,7 +50,7 @@ impl LogicalLayer {
     /// example).
     pub fn binding_report(&self) -> String {
         let mut out = String::from("Binding propagation (logical layer)\n");
-        for r in &self.relations {
+        for r in self.relations.iter() {
             let b = self.bindings(&r.name).unwrap_or_else(BindingSet::unsatisfiable);
             out.push_str(&format!("  {}: {}\n", r.name, b));
         }
@@ -67,11 +70,12 @@ impl RelationProvider for LogicalLayer {
     }
 
     fn fetch(&mut self, name: &str, spec: &AccessSpec) -> Result<Relation, EvalError> {
-        let def = self
-            .relation(name)
+        let relations = self.relations.clone();
+        let def = &relations
+            .iter()
+            .find(|r| r.name == name)
             .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?
-            .def
-            .clone();
+            .def;
         let relaxed = self.relaxed_union;
         let obs = self.vps.obs().clone();
         let span = if obs.tracing() {
@@ -84,7 +88,7 @@ impl RelationProvider for LogicalLayer {
         } else {
             webbase_vps::SpanHandle::INERT
         };
-        let out = Evaluator::new(&mut self.vps).with_relaxed_union(relaxed).eval(&def, spec);
+        let out = Evaluator::new(&mut self.vps).with_relaxed_union(relaxed).eval(def, spec);
         if obs.tracing() {
             obs.sink.advance(QUERY_TRACK, self.vps.stats.total_network());
             match &out {

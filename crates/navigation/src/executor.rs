@@ -28,7 +28,9 @@ use crate::browser::{Browser, LoadedPage};
 use crate::budget::{BudgetTracker, JournalEntry};
 use crate::compile::{compile_map, CompiledRelation, CompiledSite};
 use crate::extractor::ExtractionSpec;
-use crate::healing::{apply_heal, needs_recompile, PageProbe, PendingChange, RepairReport};
+use crate::healing::{
+    apply_heal, needs_recompile, PageProbe, PendingChange, ProbeCatalogue, RepairReport,
+};
 use crate::map::{NavigationMap, NodeId, NodeKind};
 use crate::resilience::{DegradationReport, FetchPolicy};
 use crate::store::PageStore;
@@ -45,6 +47,64 @@ use webbase_obs::{Metric, Obs, SpanHandle, SpanKind};
 use webbase_relational::Value;
 use webbase_webworld::prelude::*;
 
+/// The immutable navigation half of a site's runtime: the recorded map,
+/// its compiled program, and what a navigator derives from them — the
+/// extraction specs, the link-defined value sets, the drift probe's
+/// catalogue, and the site's own entry URL. Built once per map and
+/// shared (`Arc`) by every navigator over the site; nothing a query
+/// does can change it (repairs go to the navigator's own working copy).
+pub struct NavRuntime {
+    web: SyntheticWeb,
+    pub map: NavigationMap,
+    compiled: Arc<CompiledSite>,
+    /// Extraction specs by spec id (one per relation registration).
+    specs: HashMap<String, ExtractionSpec>,
+    value_link_sets: HashMap<String, Vec<(String, String)>>,
+    probe: ProbeCatalogue,
+    entry: Option<Url>,
+}
+
+impl NavRuntime {
+    /// A runtime around an already-compiled program.
+    pub fn new(web: SyntheticWeb, map: NavigationMap, compiled: Arc<CompiledSite>) -> NavRuntime {
+        let specs = map
+            .relations
+            .iter()
+            .filter_map(|reg| match &map.node(reg.data_node).kind {
+                NodeKind::Data(spec) => {
+                    Some((crate::compile::spec_id_for(&reg.relation, reg.data_node), spec.clone()))
+                }
+                _ => None,
+            })
+            .collect();
+        NavRuntime {
+            specs,
+            value_link_sets: compiled.value_link_sets.iter().cloned().collect(),
+            probe: ProbeCatalogue::from_map(&map),
+            entry: web.entry(&map.site),
+            web,
+            map,
+            compiled,
+        }
+    }
+
+    /// Compile `map` and wrap it.
+    pub fn compile(web: SyntheticWeb, map: NavigationMap) -> NavRuntime {
+        let compiled = Arc::new(compile_map(&map));
+        NavRuntime::new(web, map, compiled)
+    }
+
+    /// The host this runtime navigates.
+    pub fn site(&self) -> &str {
+        &self.map.site
+    }
+
+    /// The compiled program shared by every navigator over the site.
+    pub fn compiled(&self) -> &Arc<CompiledSite> {
+        &self.compiled
+    }
+}
+
 /// A concrete, executable action attached to an asserted action object.
 #[derive(Debug, Clone)]
 enum ConcreteAction {
@@ -52,8 +112,10 @@ enum ConcreteAction {
     Submit { page: usize, cgi: String },
 }
 
-/// The oracle: browser + page/action registries + extraction specs.
+/// The oracle: one query's browser and page/action registries over a
+/// shared [`NavRuntime`].
 pub struct NavOracle {
+    runtime: Arc<NavRuntime>,
     browser: Browser,
     pages: Vec<Arc<LoadedPage>>,
     /// Loaded-page identity → page index (so backtracked re-executions
@@ -66,50 +128,28 @@ pub struct NavOracle {
     /// and silently minted a second identity for it.)
     page_ids: HashMap<Request, usize>,
     actions: HashMap<Sym, ConcreteAction>,
-    specs: HashMap<String, ExtractionSpec>,
-    value_link_sets: HashMap<String, Vec<(String, String)>>,
-    entries: HashMap<String, Url>,
+    /// Value-link sets recompiled by an in-flight repair; they shadow
+    /// the runtime's recorded sets.
+    healed_links: HashMap<String, Vec<(String, String)>>,
     /// In-flight drift detector; `None` when self-healing is disabled.
     probe: Option<PageProbe>,
 }
 
 impl NavOracle {
-    pub fn new(web: SyntheticWeb, caching: bool) -> NavOracle {
-        NavOracle::with_policy(web, caching, FetchPolicy::default_policy())
-    }
-
-    /// An oracle whose browser applies an explicit [`FetchPolicy`].
-    pub fn with_policy(web: SyntheticWeb, caching: bool, policy: FetchPolicy) -> NavOracle {
-        NavOracle::with_store(web, caching, policy, PageStore::new())
-    }
-
-    /// An oracle whose browser reads through a caller-supplied (possibly
-    /// shared) page store.
-    pub fn with_store(
-        web: SyntheticWeb,
-        caching: bool,
-        policy: FetchPolicy,
-        store: PageStore,
-    ) -> NavOracle {
-        let entries: HashMap<String, Url> =
-            web.hosts().into_iter().filter_map(|h| web.entry(&h).map(|u| (h, u))).collect();
-        let mut browser = Browser::with_store(web, policy, store);
-        browser.caching = caching;
+    /// An oracle over `runtime` whose browser applies `policy` and reads
+    /// through a caller-supplied (possibly shared) page store.
+    fn new(runtime: Arc<NavRuntime>, policy: FetchPolicy, store: PageStore) -> NavOracle {
+        let browser = Browser::with_store(runtime.web.clone(), policy, store);
+        let probe = PageProbe::new(runtime.probe.clone());
         NavOracle {
+            runtime,
             browser,
             pages: Vec::new(),
             page_ids: HashMap::new(),
             actions: HashMap::new(),
-            specs: HashMap::new(),
-            value_link_sets: HashMap::new(),
-            entries,
-            probe: None,
+            healed_links: HashMap::new(),
+            probe: Some(probe),
         }
-    }
-
-    /// Arm the in-flight drift detector against a recorded map.
-    pub(crate) fn set_probe(&mut self, probe: PageProbe) {
-        self.probe = Some(probe);
     }
 
     pub(crate) fn clear_probe(&mut self) {
@@ -198,14 +238,6 @@ impl NavOracle {
         self.browser.preload(entry);
     }
 
-    pub fn register_spec(&mut self, id: &str, spec: ExtractionSpec) {
-        self.specs.insert(id.to_string(), spec);
-    }
-
-    pub fn register_value_links(&mut self, id: &str, choices: Vec<(String, String)>) {
-        self.value_link_sets.insert(id.to_string(), choices);
-    }
-
     pub fn fetches(&self) -> u32 {
         self.browser.fetches
     }
@@ -222,11 +254,6 @@ impl NavOracle {
         self.browser.simulated_network
     }
 
-    /// The fetch policy the oracle's browser applies.
-    pub fn policy(&self) -> FetchPolicy {
-        self.browser.policy
-    }
-
     /// Per-site degradation accumulated by the oracle's browser.
     pub fn degradation(&self) -> DegradationReport {
         self.browser.degradation()
@@ -239,11 +266,6 @@ impl NavOracle {
         if err.is_degradation() {
             self.browser.note_abandoned_branch(host);
         }
-    }
-
-    /// The Web this oracle browses.
-    pub fn web(&self) -> SyntheticWeb {
-        self.browser.web()
     }
 
     /// Register (or find) a page, asserting its F-logic objects.
@@ -266,7 +288,7 @@ impl NavOracle {
         // (Re-)assert the page's molecules. Idempotent inserts make
         // re-assertion after backtracking safe.
         store.insert_isa(oid.clone(), Sym::new("web_page"));
-        if self.specs.values().any(|s| s.matches(&page.doc)) {
+        if self.runtime.specs.values().any(|s| s.matches(&page.doc)) {
             store.insert_isa(oid.clone(), Sym::new("data_page"));
         }
         store.insert_scalar(oid.clone(), Sym::new("address"), Term::str(page.url.to_string()));
@@ -319,7 +341,10 @@ impl NavOracle {
             Term::Atom(a) => a.name(),
             _ => return OracleOutcome::Fail,
         };
-        let Some(url) = self.entries.get(&site).cloned() else {
+        // Compiled programs only ever enter their own site; any other
+        // host is looked up on the Web itself.
+        let own = self.runtime.entry.as_ref().filter(|_| site == self.runtime.map.site);
+        let Some(url) = own.cloned().or_else(|| self.runtime.web.entry(&site)) else {
             return OracleOutcome::Fail;
         };
         // Cooperative deadline check before the chain even starts.
@@ -439,7 +464,10 @@ impl NavOracle {
     fn builtin_doit_value(&mut self, args: &[Term], store: &mut ObjectStore) -> OracleOutcome {
         let Some(page) = self.page_of(&args[0]) else { return OracleOutcome::Fail };
         let Term::Atom(set_sym) = &args[1] else { return OracleOutcome::Fail };
-        let Some(choices) = self.value_link_sets.get(&set_sym.name()).cloned() else {
+        let set = set_sym.name();
+        let choices =
+            self.healed_links.get(&set).or_else(|| self.runtime.value_link_sets.get(&set)).cloned();
+        let Some(choices) = choices else {
             return OracleOutcome::Fail;
         };
         // Bound value → one choice; unbound → enumerate them all. The
@@ -504,7 +532,7 @@ impl NavOracle {
     fn builtin_collect(&mut self, args: &[Term]) -> OracleOutcome {
         let Some(page) = self.page_of(&args[0]) else { return OracleOutcome::Fail };
         let Term::Atom(spec_sym) = &args[1] else { return OracleOutcome::Fail };
-        let Some(spec) = self.specs.get(&spec_sym.name()) else {
+        let Some(spec) = self.runtime.specs.get(&spec_sym.name()) else {
             return OracleOutcome::Fail;
         };
         let url = page.url.to_string();
@@ -631,7 +659,9 @@ pub struct RunStats {
     pub cpu: Duration,
 }
 
-/// A site's compiled navigation programs, ready to execute.
+/// One query's navigator over a site: per-query mutable state (the
+/// browser and its counters, the page arena, the journal, the healing
+/// state) around the site's shared, immutable [`NavRuntime`].
 ///
 /// The navigator keeps one long-lived [`NavOracle`] whose browser cache
 /// persists across `run_relation` calls — so a dependent join that
@@ -644,13 +674,10 @@ pub struct RunStats {
 /// whole run, serialising runs *per navigator* while distinct
 /// navigators — even over one shared page store — run concurrently.
 pub struct SiteNavigator {
-    /// Shared with every other navigator built from the same map by the
-    /// engine: compilation happens once, not per query.
-    compiled: Arc<CompiledSite>,
-    pub map: NavigationMap,
+    runtime: Arc<NavRuntime>,
     oracle: Mutex<NavOracle>,
-    /// Self-healing state; `None` when disabled. `map` stays the
-    /// pristine recorded map — repairs go to a lazily cloned working
+    /// Self-healing state; `None` when disabled. The runtime's map stays
+    /// the pristine recorded map — repairs go to a lazily cloned working
     /// copy inside.
     healing: Mutex<Option<HealState>>,
 }
@@ -685,29 +712,32 @@ impl std::fmt::Display for NavError {
 impl std::error::Error for NavError {}
 
 impl SiteNavigator {
-    /// Compile a recorded map for execution against `web`.
-    pub fn new(web: SyntheticWeb, map: NavigationMap) -> SiteNavigator {
-        SiteNavigator::with_caching(web, map, true, FetchPolicy::default_policy())
+    /// Open a navigator over a shared runtime: a fresh browser session
+    /// applying `policy` and reading through `store` (private or shared
+    /// across sessions). Every navigator is built here.
+    pub fn new(runtime: Arc<NavRuntime>, policy: FetchPolicy, store: PageStore) -> SiteNavigator {
+        SiteNavigator {
+            oracle: Mutex::new(NavOracle::new(runtime.clone(), policy, store)),
+            runtime,
+            healing: Mutex::new(Some(HealState::default())),
+        }
     }
 
-    /// Like [`SiteNavigator::new`] with an explicit [`FetchPolicy`]
-    /// governing retries, timeouts, and circuit breaking.
-    pub fn with_policy(
-        web: SyntheticWeb,
-        map: NavigationMap,
-        policy: FetchPolicy,
-    ) -> SiteNavigator {
-        SiteNavigator::with_caching(web, map, true, policy)
+    /// Compile `map` and open a navigator on a private page store with
+    /// the default fetch policy (examples, tests, and the per-site
+    /// timing experiments).
+    pub fn standalone(web: SyntheticWeb, map: NavigationMap) -> SiteNavigator {
+        SiteNavigator::new(
+            Arc::new(NavRuntime::compile(web, map)),
+            FetchPolicy::default_policy(),
+            PageStore::new(),
+        )
     }
 
-    /// Like [`SiteNavigator::new`] with the fetch cache disabled (the
-    /// caching ablation benchmark). Preserves the fetch policy.
+    /// Disable the fetch cache (the caching ablation benchmark).
     pub fn without_cache(self) -> SiteNavigator {
-        let oracle = self.oracle.into_inner();
-        let policy = oracle.policy();
-        let mut nav = SiteNavigator::with_caching(oracle.web(), self.map, false, policy);
-        nav.compiled = self.compiled;
-        nav
+        self.oracle.lock().browser.caching = false;
+        self
     }
 
     /// Disable query-time self-healing (the overhead-ablation
@@ -716,6 +746,11 @@ impl SiteNavigator {
         self.oracle.lock().clear_probe();
         *self.healing.lock() = None;
         self
+    }
+
+    /// The recorded (pristine) map.
+    pub fn map(&self) -> &NavigationMap {
+        &self.runtime.map
     }
 
     /// Per-site degradation accumulated over every run of this
@@ -775,79 +810,23 @@ impl SiteNavigator {
         }
     }
 
-    fn with_caching(
-        web: SyntheticWeb,
-        map: NavigationMap,
-        caching: bool,
-        policy: FetchPolicy,
-    ) -> SiteNavigator {
-        let compiled = Arc::new(compile_map(&map));
-        SiteNavigator::from_artifacts(web, map, compiled, caching, policy, PageStore::new())
-    }
-
-    /// Build a session around *already-compiled* artifacts and a
-    /// (possibly shared) page store — the multi-query engine's
-    /// per-query constructor: compilation happens once per map, and
-    /// every session over the same store serves the others' fetches.
-    pub fn from_compiled(
-        web: SyntheticWeb,
-        map: NavigationMap,
-        compiled: Arc<CompiledSite>,
-        policy: FetchPolicy,
-        store: PageStore,
-    ) -> SiteNavigator {
-        SiteNavigator::from_artifacts(web, map, compiled, true, policy, store)
-    }
-
-    fn from_artifacts(
-        web: SyntheticWeb,
-        map: NavigationMap,
-        compiled: Arc<CompiledSite>,
-        caching: bool,
-        policy: FetchPolicy,
-        store: PageStore,
-    ) -> SiteNavigator {
-        let mut oracle = NavOracle::with_store(web, caching, policy, store);
-        // Register extraction specs (one per relation registration) and
-        // link-defined attribute sets once, up front.
-        for reg in &map.relations {
-            if let NodeKind::Data(spec) = &map.node(reg.data_node).kind {
-                oracle.register_spec(
-                    &crate::compile::spec_id_for(&reg.relation, reg.data_node),
-                    spec.clone(),
-                );
-            }
-        }
-        for (id, choices) in &compiled.value_link_sets {
-            oracle.register_value_links(id, choices.clone());
-        }
-        oracle.set_probe(PageProbe::from_map(&map));
-        SiteNavigator {
-            compiled,
-            map,
-            oracle: Mutex::new(oracle),
-            healing: Mutex::new(Some(HealState::default())),
-        }
-    }
-
-    /// The shared compiled artifacts (for engines that reuse one
-    /// compilation across many per-query sessions).
+    /// The shared compiled artifacts.
     pub fn compiled(&self) -> Arc<CompiledSite> {
-        self.compiled.clone()
+        self.runtime.compiled.clone()
     }
 
     /// The compiled relations (name, attrs).
     pub fn relations(&self) -> &[CompiledRelation] {
-        &self.compiled.relations
+        &self.runtime.compiled.relations
     }
 
     pub fn program(&self) -> &Program {
-        &self.compiled.program
+        &self.runtime.compiled.program
     }
 
     /// The Figure 4 reproduction: the program in concrete syntax.
     pub fn render_program(&self) -> String {
-        crate::compile::render_program(&self.compiled)
+        crate::compile::render_program(&self.runtime.compiled)
     }
 
     /// Execute the navigation program of `relation`, with `given`
@@ -869,10 +848,10 @@ impl SiteNavigator {
             (oracle.fetches(), oracle.cache_hits(), oracle.retries(), oracle.simulated_network());
         let obs = oracle.obs().clone();
         let span = if obs.tracing() {
-            obs.sink.advance(&self.map.site, net0);
+            obs.sink.advance(&self.runtime.map.site, net0);
             let given_str: Vec<String> = given.iter().map(|(k, v)| format!("{k}={v}")).collect();
             obs.sink.begin(
-                &self.map.site,
+                &self.runtime.map.site,
                 SpanKind::NavRun,
                 relation.to_string(),
                 vec![("given", given_str.join(" "))],
@@ -884,8 +863,10 @@ impl SiteNavigator {
         let mut attempt = 0;
         let records = loop {
             let healing = self.healing.lock();
-            let active: &CompiledSite =
-                healing.as_ref().and_then(|h| h.compiled.as_deref()).unwrap_or(&self.compiled);
+            let active: &CompiledSite = healing
+                .as_ref()
+                .and_then(|h| h.compiled.as_deref())
+                .unwrap_or(&self.runtime.compiled);
             let rel = active
                 .relations
                 .iter()
@@ -960,7 +941,7 @@ impl SiteNavigator {
             cpu,
         };
         if obs.tracing() {
-            obs.sink.advance(&self.map.site, oracle.simulated_network());
+            obs.sink.advance(&self.runtime.map.site, oracle.simulated_network());
             obs.sink.end_with(span, vec![("records", records.len().to_string())]);
         }
         Ok((records, stats))
@@ -974,7 +955,8 @@ impl SiteNavigator {
         use webbase_html::diff::Severity;
         let mut healing = self.healing.lock();
         let Some(state) = healing.as_mut() else { return false };
-        let host = self.map.site.clone();
+        let map = &self.runtime.map;
+        let host = map.site.clone();
         let obs = oracle.obs().clone();
         let mut constants_changed = false;
         for p in pending {
@@ -985,7 +967,7 @@ impl SiteNavigator {
                     if site.auto_applied.contains(&entry) {
                         continue;
                     }
-                    let working = state.working.get_or_insert_with(|| self.map.clone());
+                    let working = state.working.get_or_insert_with(|| map.clone());
                     apply_heal(working, p);
                     constants_changed |= needs_recompile(&p.change);
                     site.auto_applied.push(entry);
@@ -995,7 +977,7 @@ impl SiteNavigator {
                         obs.sink.event(
                             &host,
                             SpanKind::Repair,
-                            self.map.node(p.node).name.clone(),
+                            map.node(p.node).name.clone(),
                             vec![("change", format!("{:?}", p.change))],
                         );
                     }
@@ -1004,7 +986,7 @@ impl SiteNavigator {
                     if site.quarantined.iter().any(|(n, _)| *n == p.node) {
                         continue;
                     }
-                    site.quarantined.push((p.node, self.map.node(p.node).name.clone()));
+                    site.quarantined.push((p.node, map.node(p.node).name.clone()));
                     oracle.probe_quarantine(p.node);
                     obs.count(Metric::Quarantines);
                     if obs.tracing() {
@@ -1012,7 +994,7 @@ impl SiteNavigator {
                         obs.sink.event(
                             &host,
                             SpanKind::Quarantine,
-                            self.map.node(p.node).name.clone(),
+                            map.node(p.node).name.clone(),
                             vec![("change", format!("{:?}", p.change))],
                         );
                     }
@@ -1023,7 +1005,7 @@ impl SiteNavigator {
             let working = state.working.as_ref().expect("repairs imply a working map");
             let compiled = compile_map(working);
             for (id, choices) in &compiled.value_link_sets {
-                oracle.register_value_links(id, choices.clone());
+                oracle.healed_links.insert(id.clone(), choices.clone());
             }
             oracle.rebuild_probe(working);
             state.report.site_mut(&host).steps_replayed += 1;
@@ -1060,7 +1042,7 @@ mod tests {
     fn newsday_navigator(web: SyntheticWeb, data: &Dataset) -> SiteNavigator {
         let session = crate::sessions::newsday(data);
         let (map, _) = Recorder::record(web.clone(), "www.newsday.com", &session).expect("records");
-        SiteNavigator::new(web, map)
+        SiteNavigator::standalone(web, map)
     }
 
     #[test]
@@ -1147,7 +1129,7 @@ mod tests {
         let session = crate::sessions::newsday(&data);
         let (map, _) = Recorder::record(web.clone(), "www.newsday.com", &session).expect("records");
         let given = [("make".to_string(), Value::str("ford"))];
-        let cached = SiteNavigator::new(web.clone(), map.clone());
+        let cached = SiteNavigator::standalone(web.clone(), map.clone());
         let (r1, s1) = cached.run_relation("newsday", &given).expect("runs");
         // A single run fetches each page once (the executor memoises its
         // traversal); the cache pays off on *re-execution* against the
@@ -1156,7 +1138,7 @@ mod tests {
         assert_eq!(r1.len(), r1b.len(), "re-execution repeats the answers");
         assert!(s1b.cache_hits > 0, "re-execution hits the cache");
         assert_eq!(s1b.pages_fetched, 0, "re-execution fetches nothing new");
-        let uncached = SiteNavigator::new(web, map).without_cache();
+        let uncached = SiteNavigator::standalone(web, map).without_cache();
         let (r2, s2) = uncached.run_relation("newsday", &given).expect("runs");
         assert_eq!(r1.len(), r2.len(), "same answers either way");
         let (_, s2b) = uncached.run_relation("newsday", &given).expect("runs");
@@ -1192,7 +1174,7 @@ mod tests {
             DesignerAction::FollowLink("More".into()),
         ];
         let (map, _) = Recorder::record(web.clone(), "www.autoweb.com", &session).expect("records");
-        let nav = SiteNavigator::new(web, map);
+        let nav = SiteNavigator::standalone(web, map);
         // Bound make: selects exactly the jaguar link.
         let (records, _) = nav
             .run_relation("autoweb", &[("make".to_string(), Value::str("jaguar"))])
@@ -1239,7 +1221,7 @@ mod tests {
                 }
             }
         }
-        let nav = SiteNavigator::new(web, map);
+        let nav = SiteNavigator::standalone(web, map);
         let (records, _) = nav
             .run_relation("autoWeb", &[("make".to_string(), Value::str("jaguar"))])
             .expect("runs");
@@ -1258,8 +1240,11 @@ mod tests {
     /// same oid.
     #[test]
     fn page_identity_by_request_survives_eviction() {
-        let (web, _data) = web_and_data();
-        let mut oracle = NavOracle::new(web, true);
+        let (web, data) = web_and_data();
+        let session = crate::sessions::newsday(&data);
+        let (map, _) = Recorder::record(web.clone(), "www.newsday.com", &session).expect("records");
+        let runtime = Arc::new(NavRuntime::compile(web, map));
+        let mut oracle = NavOracle::new(runtime, FetchPolicy::default_policy(), PageStore::new());
         let mut objs = ObjectStore::new();
         let url = Url::parse("http://www.newsday.com/").expect("valid");
         let p1 = oracle.browser.goto(url.clone()).expect("loads");
@@ -1277,6 +1262,7 @@ mod tests {
     fn navigator_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SiteNavigator>();
+        assert_send_sync::<NavRuntime>();
         assert_send_sync::<NavOracle>();
         assert_send_sync::<crate::browser::Browser>();
         assert_send_sync::<crate::browser::LoadedPage>();

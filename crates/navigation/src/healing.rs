@@ -28,6 +28,7 @@ use crate::browser::{generalize_path, LoadedPage};
 use crate::map::{NavigationMap, NodeId};
 use crate::model::{ActionDescr, FieldDescr, FormDescr, LinkDescr};
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 use webbase_html::diff::PageChange;
 use webbase_html::extract::Form;
 
@@ -202,21 +203,16 @@ struct HealNode {
     catalogue_forms: Vec<FormDescr>,
 }
 
-/// The executor-side drift detector. `NavOracle` calls
-/// [`PageProbe::inspect`] once per freshly interned page; findings
-/// accumulate in `pending` until the navigator drains them between run
-/// attempts.
-pub(crate) struct PageProbe {
-    nodes: Vec<HealNode>,
-    quarantined: HashSet<NodeId>,
-    /// Pages (by canonical request) already inspected.
-    checked: HashSet<webbase_webworld::request::Request>,
-    pending: Vec<PendingChange>,
-}
+/// The recorded catalogue a [`PageProbe`] checks live pages against,
+/// one [`HealNode`] per map node. Immutable and shared (`Arc`): every
+/// navigator over a site probes against the same snapshot, and a repair
+/// builds a fresh one from the working map.
+#[derive(Clone)]
+pub(crate) struct ProbeCatalogue(Arc<[HealNode]>);
 
-impl PageProbe {
-    pub fn from_map(map: &NavigationMap) -> PageProbe {
-        let nodes = map
+impl ProbeCatalogue {
+    pub fn from_map(map: &NavigationMap) -> ProbeCatalogue {
+        let nodes: Vec<HealNode> = map
             .nodes
             .iter()
             .map(|n| HealNode {
@@ -228,6 +224,25 @@ impl PageProbe {
                 catalogue_forms: ActionDescr::recorded_forms(&n.actions),
             })
             .collect();
+        ProbeCatalogue(nodes.into())
+    }
+}
+
+/// The executor-side drift detector: a shared [`ProbeCatalogue`] plus
+/// this query's own quarantine set and findings. `NavOracle` calls
+/// [`PageProbe::inspect`] once per freshly interned page; findings
+/// accumulate in `pending` until the navigator drains them between run
+/// attempts.
+pub(crate) struct PageProbe {
+    nodes: ProbeCatalogue,
+    quarantined: HashSet<NodeId>,
+    /// Pages (by canonical request) already inspected.
+    checked: HashSet<webbase_webworld::request::Request>,
+    pending: Vec<PendingChange>,
+}
+
+impl PageProbe {
+    pub fn new(nodes: ProbeCatalogue) -> PageProbe {
         PageProbe {
             nodes,
             quarantined: HashSet::new(),
@@ -240,7 +255,7 @@ impl PageProbe {
     /// quarantine set; previously checked pages are re-inspected against
     /// the new catalogue (convergence: a repaired page reports nothing).
     pub fn rebuilt_from(&self, map: &NavigationMap) -> PageProbe {
-        let mut probe = PageProbe::from_map(map);
+        let mut probe = PageProbe::new(ProbeCatalogue::from_map(map));
         probe.quarantined = self.quarantined.clone();
         probe
     }
@@ -254,7 +269,7 @@ impl PageProbe {
     /// owning site's quota only, so a drifted node cannot drain other
     /// sites' budgets.
     pub(crate) fn page_quarantined(&self, page: &LoadedPage) -> bool {
-        self.node_for(page).is_some_and(|i| self.quarantined.contains(&self.nodes[i].id))
+        self.node_for(page).is_some_and(|i| self.quarantined.contains(&self.nodes.0[i].id))
     }
 
     pub fn take_pending(&mut self) -> Vec<PendingChange> {
@@ -274,10 +289,10 @@ impl PageProbe {
             return;
         }
         let Some(idx) = self.node_for(page) else { return };
-        if self.quarantined.contains(&self.nodes[idx].id) {
+        if self.quarantined.contains(&self.nodes.0[idx].id) {
             return;
         }
-        let node = &self.nodes[idx];
+        let node = &self.nodes.0[idx];
         // A page generated by a parameterized request (the URL carries a
         // query string) renders its forms *for those bindings*: a model
         // select filled with the submitted make's models differs from
@@ -318,18 +333,18 @@ impl PageProbe {
     fn node_for(&self, page: &LoadedPage) -> Option<usize> {
         let path = generalize_path(&page.url.path);
         let candidates: Vec<usize> =
-            (0..self.nodes.len()).filter(|&i| self.nodes[i].path == path).collect();
+            (0..self.nodes.0.len()).filter(|&i| self.nodes.0[i].path == path).collect();
         match candidates.len() {
             0 => None,
             1 => Some(candidates[0]),
             _ => {
                 let sig = page.signature();
-                if let Some(&i) = candidates.iter().find(|&&i| self.nodes[i].signature == sig) {
+                if let Some(&i) = candidates.iter().find(|&&i| self.nodes.0[i].signature == sig) {
                     return Some(i);
                 }
                 let (_, parts) = split_signature(&sig);
                 let score = |i: usize| {
-                    let (_, node_parts) = split_signature(&self.nodes[i].signature);
+                    let (_, node_parts) = split_signature(&self.nodes.0[i].signature);
                     parts.iter().filter(|p| node_parts.contains(p)).count()
                 };
                 let best = candidates.iter().copied().max_by_key(|&i| score(i))?;

@@ -716,7 +716,7 @@ mod tests {
             .expect("records");
         let text = render_facts(&map);
         let loaded = parse_map(&text).expect("loads");
-        let nav = crate::executor::SiteNavigator::new(web, loaded);
+        let nav = crate::executor::SiteNavigator::standalone(web, loaded);
         let (records, _) = nav
             .run_relation(
                 "newsday",

@@ -89,13 +89,7 @@ impl ReadSet {
     pub fn slice_from(&self, mark: usize) -> Vec<Request> {
         let reads = self.reads.lock();
         let mut seen = std::collections::HashSet::new();
-        reads
-            .get(mark..)
-            .unwrap_or(&[])
-            .iter()
-            .filter(|r| seen.insert((*r).clone()))
-            .cloned()
-            .collect()
+        reads.get(mark..).unwrap_or(&[]).iter().filter(|r| seen.insert(*r)).cloned().collect()
     }
 
     /// Every request recorded, deduplicated.

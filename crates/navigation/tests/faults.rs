@@ -5,16 +5,20 @@
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use webbase_navigation::executor::SiteNavigator;
+use webbase_navigation::executor::{NavRuntime, SiteNavigator};
 use webbase_navigation::maintenance::{check_map, check_map_with_policy};
 use webbase_navigation::recorder::Recorder;
 use webbase_navigation::sessions;
-use webbase_navigation::{FetchPolicy, NavigationMap};
+use webbase_navigation::{FetchPolicy, NavigationMap, PageStore};
 use webbase_relational::Value;
 use webbase_webworld::data::{Dataset, SiteSlice, MAKES};
 use webbase_webworld::faults::{FlakySite, StallingSite, TruncatingSite};
 use webbase_webworld::prelude::*;
 use webbase_webworld::sites::Newsday;
+
+fn navigator_with(web: SyntheticWeb, map: NavigationMap, policy: FetchPolicy) -> SiteNavigator {
+    SiteNavigator::new(Arc::new(NavRuntime::compile(web, map)), policy, PageStore::new())
+}
 
 fn newsday_map(
     web: &SyntheticWeb,
@@ -29,7 +33,7 @@ fn flaky_site_degrades_gracefully() {
     // Record against a healthy web…
     let healthy = standard_web(data.clone(), LatencyModel::zero());
     let map = newsday_map(&healthy, &data);
-    let healthy_nav = SiteNavigator::new(healthy, map.clone());
+    let healthy_nav = SiteNavigator::standalone(healthy, map.clone());
     let given = vec![("make".to_string(), Value::str("ford"))];
     let (full, _) = healthy_nav.run_relation("newsday", &given).expect("healthy run");
 
@@ -38,7 +42,7 @@ fn flaky_site_degrades_gracefully() {
         .site(FlakySite::new(Newsday::new(data.clone(), 1), 5))
         .latency(LatencyModel::zero())
         .build();
-    let nav = SiteNavigator::new(flaky, map);
+    let nav = SiteNavigator::standalone(flaky, map);
     let (partial, _) = nav.run_relation("newsday", &given).expect("flaky run completes");
     assert!(
         partial.len() <= full.len(),
@@ -61,7 +65,7 @@ fn truncated_pages_yield_partial_rows_not_garbage() {
         .site(TruncatingSite::new(Newsday::new(data.clone(), 1), 900))
         .latency(LatencyModel::zero())
         .build();
-    let nav = SiteNavigator::new(truncating, map);
+    let nav = SiteNavigator::standalone(truncating, map);
     let (records, _) = nav
         .run_relation("newsday", &[("make".to_string(), Value::str("ford"))])
         .expect("truncated run completes");
@@ -187,7 +191,7 @@ proptest! {
         let make = MAKES[make_i].0;
         let given = vec![("make".to_string(), Value::str(make))];
         let run = || {
-            let nav = SiteNavigator::new(flaky_newsday(data, period), map.clone());
+            let nav = SiteNavigator::standalone(flaky_newsday(data, period), map.clone());
             let (records, stats) = nav.run_relation("newsday", &given).expect("completes");
             (records, stats.retries, nav.degradation())
         };
@@ -207,7 +211,7 @@ proptest! {
         let given = vec![("make".to_string(), Value::str("ford"))];
         let run = |base: Duration| {
             let policy = FetchPolicy { backoff_base: base, ..FetchPolicy::default_policy() };
-            let nav = SiteNavigator::with_policy(flaky_newsday(data, period), map.clone(), policy);
+            let nav = navigator_with(flaky_newsday(data, period), map.clone(), policy);
             let (_, stats) = nav.run_relation("newsday", &given).expect("completes");
             (stats.network, stats.retries)
         };
@@ -226,7 +230,7 @@ proptest! {
         let make = MAKES[make_i].0;
         let policy = FetchPolicy { breaker_threshold: 1, ..FetchPolicy::default_policy() };
         let healthy = standard_web(data.clone(), LatencyModel::zero());
-        let nav = SiteNavigator::with_policy(healthy, map.clone(), policy);
+        let nav = navigator_with(healthy, map.clone(), policy);
         let (_, stats) = nav
             .run_relation("newsday", &[("make".to_string(), Value::str(make))])
             .expect("completes");

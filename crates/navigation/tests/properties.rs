@@ -48,7 +48,7 @@ proptest! {
         let (make, models) = MAKES[make_i];
         let model = models[model_i % models.len()];
         let map = &fix.maps.iter().find(|(h, _)| h == "www.newsday.com").expect("mapped").1;
-        let nav = SiteNavigator::new(fix.web.clone(), map.clone());
+        let nav = SiteNavigator::standalone(fix.web.clone(), map.clone());
         let mut given = vec![("make".to_string(), Value::str(make))];
         if with_model {
             given.push(("model".to_string(), Value::str(model)));
@@ -109,7 +109,7 @@ proptest! {
         let condition = webbase_webworld::data::CONDITIONS[cond_i];
         let pricetype = if retail { "retail" } else { "trade-in" };
         let map = &fix.maps.iter().find(|(h, _)| h == "www.kbb.com").expect("mapped").1;
-        let nav = SiteNavigator::new(fix.web.clone(), map.clone());
+        let nav = SiteNavigator::standalone(fix.web.clone(), map.clone());
         let (records, _) = nav
             .run_relation(
                 "kellys",

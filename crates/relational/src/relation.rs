@@ -3,8 +3,10 @@
 use crate::schema::{Attr, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A tuple: values positionally aligned with a [`Schema`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -40,18 +42,35 @@ impl Tuple {
 /// A relation: a schema plus a deduplicated multiset of tuples.
 ///
 /// Insertion order is preserved (useful for stable test output); set
-/// semantics are enforced with a hash index.
+/// semantics are enforced with a hash index that stores positions, not
+/// tuples, so every tuple is held once.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Relation {
     schema: Schema,
     tuples: Vec<Tuple>,
+    /// Tuple hash → position of the first tuple with that hash. A
+    /// present tuple's hash is always indexed; a (vanishingly rare)
+    /// second tuple with the same hash is found by a scan.
     #[serde(skip)]
-    seen: HashSet<Tuple>,
+    index: HashMap<u64, u32>,
+}
+
+fn tuple_hash(t: &Tuple) -> u64 {
+    let mut h = DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
 }
 
 impl Relation {
     pub fn new(schema: Schema) -> Relation {
-        Relation { schema, tuples: Vec::new(), seen: HashSet::new() }
+        Relation { schema, tuples: Vec::new(), index: HashMap::new() }
+    }
+
+    /// Set membership.
+    pub fn contains(&self, t: &Tuple) -> bool {
+        self.index
+            .get(&tuple_hash(t))
+            .is_some_and(|&i| &self.tuples[i as usize] == t || self.tuples.contains(t))
     }
 
     /// Build a relation from rows; arity mismatches panic (construction
@@ -94,9 +113,18 @@ impl Relation {
             t.len(),
             self.schema
         );
-        if self.seen.insert(t.clone()) {
-            self.tuples.push(t);
+        let at = self.tuples.len();
+        match self.index.entry(tuple_hash(&t)) {
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(at as u32);
+            }
+            std::collections::hash_map::Entry::Occupied(first) => {
+                if self.tuples[*first.get() as usize] == t || self.tuples.contains(&t) {
+                    return;
+                }
+            }
         }
+        self.tuples.push(t);
     }
 
     /// Value of attribute `a` in tuple `t` (must belong to this schema).
@@ -153,7 +181,7 @@ impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
             && self.tuples.len() == other.tuples.len()
-            && self.tuples.iter().all(|t| other.seen.contains(t))
+            && self.tuples.iter().all(|t| other.contains(t))
     }
 }
 
@@ -169,8 +197,11 @@ impl fmt::Display for Relation {
 impl Relation {
     /// Rebuild the dedup index (after deserialisation).
     pub fn reindex(&mut self) {
-        self.seen = self.tuples.iter().cloned().collect();
-        self.tuples.dedup_by(|a, b| a == b);
+        let tuples = std::mem::take(&mut self.tuples);
+        self.index.clear();
+        for t in tuples {
+            self.push(t);
+        }
     }
 }
 
@@ -193,6 +224,26 @@ mod tests {
         let mut r = rel();
         r.push(Tuple::from_values([Value::str("ford"), Value::Int(500)]));
         assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn dedup_and_membership_go_through_the_position_index() {
+        const N: i64 = 48;
+        let row = |i: i64| Tuple::from_values([Value::str("x"), Value::Int(i)]);
+        let mut r = Relation::new(Schema::new(["make", "price"]));
+        for round in 0..2 {
+            for i in 0..N {
+                r.push(row(i));
+                assert_eq!(r.len(), if round == 0 { i as usize + 1 } else { N as usize });
+            }
+        }
+        assert!((0..N).all(|i| r.contains(&row(i))));
+        assert!(!r.contains(&row(-1)));
+        let mut reversed = Relation::new(Schema::new(["make", "price"]));
+        for i in (0..N).rev() {
+            reversed.push(row(i));
+        }
+        assert_eq!(r, reversed);
     }
 
     #[test]

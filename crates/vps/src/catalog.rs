@@ -3,15 +3,17 @@
 
 use crate::handle::{derive_handles, Handle};
 use crate::memo::{AnswerMemo, MemoClaim};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 use webbase_navigation::budget::{BudgetTracker, JournalEntry, NavPosition, ResumeToken};
-use webbase_navigation::executor::SiteNavigator;
+use webbase_navigation::executor::{NavRuntime, SiteNavigator};
 use webbase_navigation::map::NavigationMap;
 use webbase_navigation::pool::HostPools;
 use webbase_navigation::store::{PageStore, ReadSet};
 use webbase_navigation::{CancelToken, CompiledSite, DegradationReport, FetchPolicy, RepairReport};
+use webbase_obs::sync::SafeMutex;
 use webbase_obs::{Metric, Obs, SpanHandle, SpanKind, QUERY_TRACK};
 use webbase_relational::binding::{Binding, BindingSet};
 use webbase_relational::eval::{AccessSpec, EvalError, RelationProvider};
@@ -53,31 +55,141 @@ impl VpsStats {
     }
 }
 
-struct VpsEntry {
-    navigator: Arc<SiteNavigator>,
-    schema: Schema,
+/// One served invocation: its memo key, its answer (shared with the
+/// memo entry), and the page requests the answer was computed from.
+pub type Invocation = (crate::memo::MemoKey, Arc<Relation>, Arc<[Request]>);
+
+/// A site's immutable runtime as the VPS layer sees it: the navigation
+/// runtime (map, compiled program, extraction specs, value-link sets,
+/// probe catalogue, entry URL), the handles derived from the map, and
+/// the abstract interpreter's semantics. Built once per map and shared
+/// (`Arc`) by every session; a session only pays for a site when it
+/// invokes one of the site's relations.
+pub struct SiteRuntime {
+    pub nav: Arc<NavRuntime>,
+    /// Grouped by relation (derivation order kept within a relation).
     handles: Vec<Handle>,
+    pub semantics: Arc<webbase_webcheck::SiteSemantics>,
+}
+
+impl SiteRuntime {
+    /// Assemble a runtime from artifacts the caller already derived.
+    pub fn new(
+        nav: NavRuntime,
+        mut handles: Vec<Handle>,
+        semantics: Arc<webbase_webcheck::SiteSemantics>,
+    ) -> SiteRuntime {
+        handles.sort_by(|a, b| a.relation.cmp(&b.relation));
+        SiteRuntime { nav: Arc::new(nav), handles, semantics }
+    }
+
+    /// The map-ingestion path: the full static analysis
+    /// ([`webbase_webcheck::analyze_full`]: map lint, program safety,
+    /// and semantic abstract interpretation), compilation, and handle
+    /// derivation. The findings come back beside the runtime; loading is
+    /// not refused here — deployment paths that must reject E-level maps
+    /// consult the report first.
+    pub fn analyze(
+        web: SyntheticWeb,
+        map: NavigationMap,
+    ) -> (SiteRuntime, webbase_webcheck::Report) {
+        let (report, semantics) = webbase_webcheck::analyze_full(&map);
+        let handles = derive_handles(&map);
+        (SiteRuntime::new(NavRuntime::compile(web, map), handles, Arc::new(semantics)), report)
+    }
+
+    /// The host this site runs on.
+    pub fn host(&self) -> &str {
+        self.nav.site()
+    }
+}
+
+#[derive(Clone)]
+struct IndexedRelation {
+    /// Position of the owning site in [`SiteIndex::sites`].
+    site: usize,
+    schema: Schema,
+    /// The relation's slice of the site's handles.
+    handles: Range<usize>,
+}
+
+/// The relation → site index: every mapped site's runtime, and each VPS
+/// relation's schema, handles, and owning site. Registration order is
+/// site order, then each site's compiled relation order. Immutable once
+/// built; the engine shares one across every session.
+#[derive(Clone, Default)]
+pub struct SiteIndex {
+    sites: Vec<Arc<SiteRuntime>>,
+    relations: HashMap<String, IndexedRelation>,
+}
+
+impl SiteIndex {
+    pub fn new() -> SiteIndex {
+        SiteIndex::default()
+    }
+
+    /// Register every relation of one site. Panics on a relation without
+    /// a handle or a relation name already taken (map construction bugs).
+    pub fn add(&mut self, runtime: Arc<SiteRuntime>) {
+        let site = self.sites.len();
+        for rel in &runtime.nav.compiled().relations {
+            let start = runtime.handles.partition_point(|h| h.relation < rel.name);
+            let end = runtime.handles.partition_point(|h| h.relation <= rel.name);
+            assert!(
+                start < end,
+                "relation {} has no handle — was its data node registered?",
+                rel.name
+            );
+            let schema = Schema::new(rel.attrs.iter().map(String::as_str));
+            let entry = IndexedRelation { site, schema, handles: start..end };
+            let prev = self.relations.insert(rel.name.clone(), entry);
+            assert!(prev.is_none(), "duplicate VPS relation {}", rel.name);
+        }
+        self.sites.push(runtime);
+    }
+
+    /// Relation names in registration order.
+    fn order(&self) -> impl Iterator<Item = &str> {
+        self.sites.iter().flat_map(|s| s.nav.compiled().relations.iter().map(|r| r.name.as_str()))
+    }
+
+    fn handles(&self, e: &IndexedRelation) -> &[Handle] {
+        &self.sites[e.site].handles[e.handles.clone()]
+    }
 }
 
 /// The catalog of VPS relations across all mapped sites (Table 1).
+///
+/// A catalog is one session over a [`SiteIndex`]. Navigators — the
+/// per-query mutable half of a site (browser, page arena, journal,
+/// healing state) — are built on the first invocation of one of the
+/// site's relations, so a session costs O(1) plus the sites its plan
+/// actually invokes. Catalog-wide settings (observability, budget,
+/// cancellation, pools, a resume token's journal) are stored here and
+/// applied to each navigator as it is built.
 pub struct VpsCatalog {
-    entries: HashMap<String, VpsEntry>,
-    /// Registration order, for stable Table 1 output.
-    order: Vec<String>,
+    index: Arc<SiteIndex>,
+    /// The navigators built so far, keyed by site position.
+    navigators: SafeMutex<BTreeMap<usize, Arc<SiteNavigator>>>,
+    /// The page store new navigators read through; `None` gives each
+    /// navigator a private store (the single-owner cost model).
+    store: Option<PageStore>,
+    policy: FetchPolicy,
+    pool: Option<Arc<HostPools>>,
+    cancel: Option<CancelToken>,
+    /// Resume-token journal entries, preloaded into each site's
+    /// navigator when it is built.
+    preloaded: Vec<JournalEntry>,
     pub stats: VpsStats,
     /// The query budget shared by every navigator, when one is attached.
     budget: Option<Arc<BudgetTracker>>,
     /// Relation invocations that ran to completion under the budget —
     /// the resume token's navigation positions.
     positions: Vec<NavPosition>,
-    /// The pre-flight static analysis of every loaded map, accumulated
-    /// at [`VpsCatalog::add_map`] time — quarantine/healing reports can
-    /// cite the load-time diagnostic alongside the runtime repair.
+    /// The pre-flight static analysis of every map loaded through
+    /// [`VpsCatalog::add_map`] — quarantine/healing reports can cite the
+    /// load-time diagnostic alongside the runtime repair.
     preflight: webbase_webcheck::Report,
-    /// Per-site semantic analysis (fetch-cost intervals and static
-    /// read-sets), keyed by host. Every map-ingestion path stores one —
-    /// a loaded map without semantics cannot exist.
-    semantics: HashMap<String, Arc<webbase_webcheck::SiteSemantics>>,
     /// Observability handle shared with every navigator (and through
     /// them, every browser). Disabled by default.
     obs: Obs,
@@ -94,7 +206,7 @@ pub struct VpsCatalog {
     /// Every invocation this catalog served, with its answer and page
     /// dependencies — the base-relation log incremental view
     /// maintenance re-runs selectively.
-    invocation_log: Vec<(crate::memo::MemoKey, Relation, Vec<Request>)>,
+    invocation_log: Vec<Invocation>,
 }
 
 impl Default for VpsCatalog {
@@ -104,15 +216,26 @@ impl Default for VpsCatalog {
 }
 
 impl VpsCatalog {
+    /// An empty catalog; sites join through [`VpsCatalog::add_map`].
     pub fn new() -> VpsCatalog {
+        VpsCatalog::with_sites(Arc::new(SiteIndex::new()))
+    }
+
+    /// A session over a shared site index (the multi-query engine's
+    /// per-query path): no navigator exists until a relation is invoked.
+    pub fn with_sites(index: Arc<SiteIndex>) -> VpsCatalog {
         VpsCatalog {
-            entries: HashMap::new(),
-            order: Vec::new(),
+            index,
+            navigators: SafeMutex::new(BTreeMap::new()),
+            store: None,
+            policy: FetchPolicy::default_policy(),
+            pool: None,
+            cancel: None,
+            preloaded: Vec::new(),
             stats: VpsStats::default(),
             budget: None,
             positions: Vec::new(),
             preflight: webbase_webcheck::Report::new(),
-            semantics: HashMap::new(),
             obs: Obs::none(),
             memo: None,
             reads: None,
@@ -120,35 +243,27 @@ impl VpsCatalog {
         }
     }
 
-    /// Add every relation of a recorded map, compiling it for `web`.
-    ///
-    /// The map goes through the full static analysis
-    /// ([`webbase_webcheck::analyze_full`]: map lint, program safety,
-    /// and semantic abstract interpretation); the findings accumulate
-    /// in [`VpsCatalog::preflight`] and the derived semantics are kept
-    /// per site. Loading itself is not refused here — deployment paths
-    /// that must reject E-level maps (e.g.
-    /// `Webbase::build_from_fact_maps`) consult the report before
-    /// calling in.
-    pub fn add_map(&mut self, web: SyntheticWeb, map: NavigationMap) {
-        let (report, semantics) = webbase_webcheck::analyze_full(&map);
-        self.preflight.merge(report);
-        self.semantics.insert(map.site.clone(), Arc::new(semantics));
-        let navigator = Arc::new(SiteNavigator::new(web, map));
-        let handles = derive_handles(&navigator.map);
-        self.register(navigator, &handles);
+    /// Register a site. Its navigator is built on first invocation.
+    pub fn add_site(&mut self, runtime: Arc<SiteRuntime>) {
+        Arc::make_mut(&mut self.index).add(runtime);
     }
 
-    /// Add a map around *already-compiled* artifacts, pre-derived
-    /// handles, the build-time semantic analysis, and a shared page
-    /// store — the multi-query engine's per-session path. No fresh
-    /// analysis and no handle derivation here: the engine runs
-    /// `analyze_full` and derives each map once at build time, not once
-    /// per query, and hands the results in (so even this fast path
-    /// cannot register a map that skipped the semantic passes). The
-    /// navigator session is private to this catalog; only the compiled
-    /// program, the handles, the semantics, and the page store are
-    /// shared.
+    /// Add every relation of a recorded map, analysing, compiling, and
+    /// deriving it ([`SiteRuntime::analyze`]); the findings accumulate in
+    /// [`VpsCatalog::preflight`].
+    pub fn add_map(&mut self, web: SyntheticWeb, map: NavigationMap) {
+        let (runtime, report) = SiteRuntime::analyze(web, map);
+        self.preflight.merge(report);
+        self.add_site(Arc::new(runtime));
+    }
+
+    /// [`VpsCatalog::add_site`] from separately held artifacts —
+    /// already-compiled program, pre-derived handles, the build-time
+    /// semantic analysis — plus the session settings (fetch policy,
+    /// page store, connection pools). Those settings are catalog-wide,
+    /// not per site: every navigator of this catalog uses them, so every
+    /// call must pass the same policy, store and pools (checked in debug
+    /// builds).
     #[allow(clippy::too_many_arguments)]
     pub fn add_map_compiled(
         &mut self,
@@ -161,31 +276,78 @@ impl VpsCatalog {
         store: PageStore,
         pool: Option<Arc<HostPools>>,
     ) {
-        self.semantics.insert(map.site.clone(), semantics);
-        let navigator = Arc::new(SiteNavigator::from_compiled(web, map, compiled, policy, store));
-        if let Some(pool) = pool {
-            navigator.set_pool(pool);
+        if let Some(first) = &self.store {
+            debug_assert!(
+                first.same_store(&store) && self.policy == policy,
+                "add_map_compiled: sites of one catalog share one page store and fetch policy"
+            );
         }
-        self.register(navigator, handles);
+        if let (Some(first), Some(pool)) = (&self.pool, &pool) {
+            debug_assert!(Arc::ptr_eq(first, pool), "add_map_compiled: a second set of pools");
+        }
+        self.set_policy(policy);
+        self.set_store(store);
+        if let Some(pool) = pool {
+            self.set_pool(pool);
+        }
+        let nav = NavRuntime::new(web, map, compiled);
+        self.add_site(Arc::new(SiteRuntime::new(nav, handles.to_vec(), semantics)));
     }
 
-    fn register(&mut self, navigator: Arc<SiteNavigator>, handles: &[Handle]) {
-        for rel in navigator.relations() {
-            let schema = Schema::new(rel.attrs.iter().map(String::as_str));
-            let rel_handles: Vec<Handle> =
-                handles.iter().filter(|h| h.relation == rel.name).cloned().collect();
-            assert!(
-                !rel_handles.is_empty(),
-                "relation {} has no handle — was its data node registered?",
-                rel.name
-            );
-            let prev = self.entries.insert(
-                rel.name.clone(),
-                VpsEntry { navigator: navigator.clone(), schema, handles: rel_handles },
-            );
-            assert!(prev.is_none(), "duplicate VPS relation {}", rel.name);
-            self.order.push(rel.name.clone());
+    /// Read every navigator built from now on through `store`.
+    pub fn set_store(&mut self, store: PageStore) {
+        self.store = Some(store);
+    }
+
+    /// The fetch policy of every navigator built from now on.
+    pub fn set_policy(&mut self, policy: FetchPolicy) {
+        self.policy = policy;
+    }
+
+    /// Attach shared per-host connection pools to every navigator.
+    pub fn set_pool(&mut self, pool: Arc<HostPools>) {
+        for nav in self.built() {
+            nav.set_pool(pool.clone());
         }
+        self.pool = Some(pool);
+    }
+
+    /// The navigators built so far, in site registration order.
+    fn built(&self) -> Vec<Arc<SiteNavigator>> {
+        self.navigators.lock().values().cloned().collect()
+    }
+
+    /// How many site navigators this catalog has built: the sites its
+    /// invocations reached (memo hits build none).
+    pub fn navigators_built(&self) -> usize {
+        self.navigators.lock().len()
+    }
+
+    /// The navigator of the site at `site`, built with the catalog's
+    /// current settings on first use.
+    fn navigator_at(&self, site: usize) -> Arc<SiteNavigator> {
+        let mut built = self.navigators.lock();
+        built
+            .entry(site)
+            .or_insert_with(|| {
+                let runtime = &self.index.sites[site];
+                let store = self.store.clone().unwrap_or_default();
+                let nav = SiteNavigator::new(runtime.nav.clone(), self.policy, store);
+                if let Some(pool) = &self.pool {
+                    nav.set_pool(pool.clone());
+                }
+                nav.set_obs(self.obs.clone());
+                if let Some(cancel) = &self.cancel {
+                    nav.set_cancel(cancel.clone());
+                }
+                if let Some(budget) = &self.budget {
+                    nav.set_budget(budget.clone());
+                }
+                let host = runtime.host();
+                nav.preload_journal(self.preloaded.iter().filter(|e| e.request.url.host == host));
+                Arc::new(nav)
+            })
+            .clone()
     }
 
     /// The accumulated pre-flight diagnostics of every map loaded so
@@ -203,14 +365,22 @@ impl VpsCatalog {
     /// The semantic analysis of one loaded site (fetch-cost intervals
     /// and static read-sets), by host.
     pub fn semantics_for(&self, host: &str) -> Option<&Arc<webbase_webcheck::SiteSemantics>> {
-        self.semantics.get(host)
+        self.index.sites.iter().find(|s| s.host() == host).map(|s| &s.semantics)
+    }
+
+    fn site_of(&self, relation: &str) -> Option<&SiteRuntime> {
+        self.index.relations.get(relation).map(|e| &*self.index.sites[e.site])
+    }
+
+    /// The host owning `relation`.
+    pub fn relation_host(&self, relation: &str) -> Option<&str> {
+        self.site_of(relation).map(SiteRuntime::host)
     }
 
     /// The whole-site semantics of the site owning `relation` (the
     /// host lives on the [`webbase_webcheck::SiteSemantics`]).
     pub fn relation_site(&self, relation: &str) -> Option<&Arc<webbase_webcheck::SiteSemantics>> {
-        let e = self.entries.get(relation)?;
-        self.semantics.get(&e.navigator.map.site)
+        self.site_of(relation).map(|s| &s.semantics)
     }
 
     /// The semantic analysis of the site owning `relation`.
@@ -218,66 +388,55 @@ impl VpsCatalog {
         &self,
         relation: &str,
     ) -> Option<&webbase_webcheck::semantic::RelationSemantics> {
-        let e = self.entries.get(relation)?;
-        self.semantics.get(&e.navigator.map.site)?.relation(relation)
+        self.site_of(relation)?.semantics.relation(relation)
     }
 
     /// Relation names in registration order.
     pub fn relations(&self) -> impl Iterator<Item = &str> {
-        self.order.iter().map(String::as_str)
+        self.index.order()
     }
 
     pub fn handles(&self, relation: &str) -> &[Handle] {
-        self.entries.get(relation).map(|e| e.handles.as_slice()).unwrap_or(&[])
+        self.index.relations.get(relation).map(|e| self.index.handles(e)).unwrap_or(&[])
     }
 
-    pub fn navigator(&self, relation: &str) -> Option<&Arc<SiteNavigator>> {
-        self.entries.get(relation).map(|e| &e.navigator)
+    /// The navigator of the site owning `relation` — built on first use,
+    /// like an invocation would.
+    pub fn navigator(&self, relation: &str) -> Option<Arc<SiteNavigator>> {
+        let site = self.index.relations.get(relation)?.site;
+        Some(self.navigator_at(site))
     }
 
-    /// Per-site degradation merged across every navigator in the
-    /// catalog. Navigators are shared between the relations of one site
-    /// (one browser session per map), so they are deduplicated by
-    /// identity before merging.
+    /// Per-site degradation merged across the navigators built so far.
+    /// A site no invocation reached has nothing to report.
     pub fn degradation(&self) -> DegradationReport {
-        let mut seen: std::collections::HashSet<*const SiteNavigator> =
-            std::collections::HashSet::new();
         let mut report = DegradationReport::default();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                report.merge(&nav.degradation());
-            }
+        for nav in self.built() {
+            report.merge(&nav.degradation());
         }
         report
     }
 
-    /// Per-site self-healing activity merged across every navigator in
-    /// the catalog (same identity-dedup as [`VpsCatalog::degradation`]).
+    /// Per-site self-healing activity merged across the navigators built
+    /// so far (see [`VpsCatalog::degradation`]).
     pub fn repairs(&self) -> RepairReport {
-        let mut seen: std::collections::HashSet<*const SiteNavigator> =
-            std::collections::HashSet::new();
         let mut report = RepairReport::default();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                report.merge(&nav.repair_report());
-            }
+        for nav in self.built() {
+            report.merge(&nav.repair_report());
         }
         report
     }
 
     /// Attach a query budget: every navigator in the catalog shares the
     /// one tracker, and every mapped site is registered up front so
-    /// fair-share floors also cover sites the query has not reached yet.
+    /// fair-share floors also cover sites the query has not reached yet
+    /// (without building their navigators).
     pub fn set_budget(&mut self, budget: Arc<BudgetTracker>) {
-        let mut seen: HashSet<*const SiteNavigator> = HashSet::new();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                budget.register_site(&nav.map.site);
-                nav.set_budget(budget.clone());
-            }
+        for site in &self.index.sites {
+            budget.register_site(site.host());
+        }
+        for nav in self.built() {
+            nav.set_budget(budget.clone());
         }
         self.budget = Some(budget);
     }
@@ -288,16 +447,10 @@ impl VpsCatalog {
 
     /// Attach (or detach, with [`Obs::none`]) the observability handle:
     /// every navigator in the catalog shares it, exactly like the budget
-    /// tracker (identity-dedup across the relations of one site). A map
-    /// added later does not retroactively receive the handle — attach
-    /// before executing, as `UrPlanner::execute_with` does.
+    /// tracker.
     pub fn set_obs(&mut self, obs: Obs) {
-        let mut seen: HashSet<*const SiteNavigator> = HashSet::new();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                nav.set_obs(obs.clone());
-            }
+        for nav in self.built() {
+            nav.set_obs(obs.clone());
         }
         self.obs = obs;
     }
@@ -309,16 +462,12 @@ impl VpsCatalog {
 
     /// Attach a cancellation token: every navigator polls it at its
     /// budget checkpoints, so a cancel lands before the next page
-    /// request rather than mid-navigation (identity-dedup across the
-    /// relations of one site, exactly like [`VpsCatalog::set_obs`]).
+    /// request rather than mid-navigation.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
-        let mut seen: HashSet<*const SiteNavigator> = HashSet::new();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                nav.set_cancel(cancel.clone());
-            }
+        for nav in self.built() {
+            nav.set_cancel(cancel.clone());
         }
+        self.cancel = Some(cancel);
     }
 
     /// Attach a shared answer memo (the multi-query engine's
@@ -335,7 +484,7 @@ impl VpsCatalog {
     /// Invocations served so far: `(memo key, answer, page deps)` in
     /// execution order. Memo hits appear too, carrying the leader's
     /// recorded dependencies.
-    pub fn invocation_log(&self) -> &[(crate::memo::MemoKey, Relation, Vec<Request>)] {
+    pub fn invocation_log(&self) -> &[Invocation] {
         &self.invocation_log
     }
 
@@ -345,15 +494,20 @@ impl VpsCatalog {
         &self.positions
     }
 
-    /// Every page fetched while the budget was attached, across all
-    /// navigators (identity-dedup, as in [`VpsCatalog::degradation`]).
+    /// Every page fetched while the budget was attached, site by site in
+    /// registration order. A site whose navigator was never built still
+    /// contributes the preloaded entries it was owed, so a resumed run
+    /// that did not reach a site keeps that site's paid-for pages in the
+    /// next token.
     pub fn resume_journal(&self) -> Vec<JournalEntry> {
-        let mut seen: HashSet<*const SiteNavigator> = HashSet::new();
+        let built = self.navigators.lock().clone();
         let mut journal = Vec::new();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                journal.extend(nav.journal());
+        for (i, site) in self.index.sites.iter().enumerate() {
+            match built.get(&i) {
+                Some(nav) => journal.extend(nav.journal()),
+                None => journal.extend(
+                    self.preloaded.iter().filter(|e| e.request.url.host == site.host()).cloned(),
+                ),
             }
         }
         journal
@@ -375,17 +529,15 @@ impl VpsCatalog {
     }
 
     /// Preload a resume token's journal into the navigators' page
-    /// caches. Entries are routed to the navigator owning their host, so
-    /// a resumed run serves them as cache hits — zero re-fetches of
+    /// caches. Entries are routed to the navigator owning their host —
+    /// now for navigators already built, at build time for the rest — so
+    /// a resumed run serves them as cache hits: zero re-fetches of
     /// already-paid-for pages.
-    pub fn preload(&self, token: &ResumeToken) {
-        let mut seen: HashSet<*const SiteNavigator> = HashSet::new();
-        for name in &self.order {
-            let nav = &self.entries[name].navigator;
-            if seen.insert(Arc::as_ptr(nav)) {
-                nav.preload_journal(token.journal_for(&nav.map.site));
-            }
+    pub fn preload(&mut self, token: &ResumeToken) {
+        for (i, nav) in self.navigators.lock().iter() {
+            nav.preload_journal(token.journal_for(self.index.sites[*i].host()));
         }
+        self.preloaded.extend(token.journal.iter().cloned());
     }
 
     /// Evaluate a batch of relation invocations with fair-share
@@ -397,16 +549,15 @@ impl VpsCatalog {
     pub fn execute(&mut self, jobs: &[(String, AccessSpec)]) -> Vec<Result<Relation, EvalError>> {
         let mut slots: Vec<Option<Result<Relation, EvalError>>> =
             jobs.iter().map(|_| None).collect();
-        let mut site_order: Vec<String> = Vec::new();
-        let mut queues: HashMap<String, VecDeque<usize>> = HashMap::new();
+        let mut site_order: Vec<usize> = Vec::new();
+        let mut queues: HashMap<usize, VecDeque<usize>> = HashMap::new();
         for (i, (name, _)) in jobs.iter().enumerate() {
-            match self.entries.get(name) {
+            match self.index.relations.get(name) {
                 Some(e) => {
-                    let site = e.navigator.map.site.clone();
-                    if !queues.contains_key(&site) {
-                        site_order.push(site.clone());
+                    if !queues.contains_key(&e.site) {
+                        site_order.push(e.site);
                     }
-                    queues.entry(site).or_default().push_back(i);
+                    queues.entry(e.site).or_default().push_back(i);
                 }
                 None => slots[i] = Some(Err(EvalError::UnknownRelation(name.clone()))),
             }
@@ -430,9 +581,10 @@ impl VpsCatalog {
     /// The Table 1 rendering: relation name, site, schema.
     pub fn render_table1(&self) -> String {
         let mut out = String::from("VPS-level relations\n");
-        for name in &self.order {
-            let e = &self.entries[name];
-            out.push_str(&format!("  {name}{}   [site: {}]\n", e.schema, e.navigator.map.site));
+        for name in self.index.order() {
+            let e = &self.index.relations[name];
+            let site = self.index.sites[e.site].host();
+            out.push_str(&format!("  {name}{}   [site: {site}]\n", e.schema));
         }
         out
     }
@@ -447,8 +599,8 @@ impl VpsCatalog {
             }
         };
         let mut out = String::from("VPS handles: mandatory | optional\n");
-        for name in &self.order {
-            for h in &self.entries[name].handles {
+        for name in self.index.order() {
+            for h in self.handles(name) {
                 out.push_str(&format!(
                     "  {name}: {{{}}} | {{{}}}\n",
                     fmt_set(&h.mandatory),
@@ -462,27 +614,32 @@ impl VpsCatalog {
 
 impl RelationProvider for VpsCatalog {
     fn schema(&self, name: &str) -> Option<Schema> {
-        self.entries.get(name).map(|e| e.schema.clone())
+        self.index.relations.get(name).map(|e| e.schema.clone())
     }
 
     fn bindings(&self, name: &str) -> Option<BindingSet> {
-        let e = self.entries.get(name)?;
+        let e = self.index.relations.get(name)?;
         Some(BindingSet::from_bindings(
-            e.handles
+            self.index
+                .handles(e)
                 .iter()
                 .map(|h| h.mandatory.iter().map(|a| Attr::new(a.clone())).collect::<Binding>()),
         ))
     }
 
     fn fetch(&mut self, name: &str, spec: &AccessSpec) -> Result<Relation, EvalError> {
-        let e =
-            self.entries.get(name).ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
+        let index = self.index.clone();
+        let e = index
+            .relations
+            .get(name)
+            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
+        let site = &index.sites[e.site];
         let available = spec.attrs();
         // Pick a handle whose mandatory set is covered; among those,
         // prefer the one that can *use* the most of the supplied values
         // (fewer tuples fetched and filtered).
-        let handle = e
-            .handles
+        let handle = index
+            .handles(e)
             .iter()
             .filter(|h| h.mandatory.iter().all(|a| available.contains(&Attr::new(a.clone()))))
             .max_by_key(|h| {
@@ -534,8 +691,9 @@ impl RelationProvider for VpsCatalog {
                             );
                         }
                         *self.stats.invocations.entry(name.to_string()).or_default() += 1;
-                        self.invocation_log.push((key, rel.clone(), deps));
-                        return Ok(rel);
+                        let answer = Relation::clone(&rel);
+                        self.invocation_log.push((key, rel, deps));
+                        return Ok(answer);
                     }
                     // Held through the computation below; an early
                     // error return drops it, releasing the key so a
@@ -554,7 +712,7 @@ impl RelationProvider for VpsCatalog {
                 SpanKind::Handle,
                 name.to_string(),
                 vec![
-                    ("site", e.navigator.map.site.clone()),
+                    ("site", site.host().to_string()),
                     ("mandatory", handle.mandatory.iter().cloned().collect::<Vec<_>>().join(",")),
                     ("given", given_str.join(" ")),
                 ],
@@ -566,7 +724,8 @@ impl RelationProvider for VpsCatalog {
             .budget
             .as_ref()
             .map(|b| b.snapshot().sites.values().map(|s| s.denied).sum::<u64>());
-        let (records, run) = match e.navigator.run_relation(name, &given) {
+        let navigator = self.navigator_at(e.site);
+        let (records, run) = match navigator.run_relation(name, &given) {
             Ok(out) => out,
             Err(err) => {
                 if self.obs.tracing() {
@@ -584,7 +743,7 @@ impl RelationProvider for VpsCatalog {
                 self.positions
                     .push(NavPosition { relation: name.to_string(), given: given.clone() });
             }
-            budget.mark_served(&e.navigator.map.site);
+            budget.mark_served(site.host());
         }
         *self.stats.invocations.entry(name.to_string()).or_default() += 1;
         *self.stats.pages.entry(name.to_string()).or_default() += run.pages_fetched;
@@ -614,22 +773,23 @@ impl RelationProvider for VpsCatalog {
         }
         // The pages this invocation read (cache hits and fresh fetches
         // alike — either way the answer was computed from them).
-        let deps = self.reads.as_ref().map(|r| r.slice_from(read_mark)).unwrap_or_default();
+        let deps: Arc<[Request]> =
+            self.reads.as_ref().map(|r| r.slice_from(read_mark)).unwrap_or_default().into();
         // Memoize only answers from a navigator that has never seen
         // degradation: a truncated or partially healed run must not be
         // replayed to other queries as complete. Settling `None` still
         // releases the key and wakes waiting sessions.
+        // The memo and the log share one copy of the answer.
+        let key = AnswerMemo::key(name, &given);
+        let logged = Arc::new(rel.clone());
         if let Some(guard) = memo_lead {
-            if e.navigator.degradation().is_clean() {
-                if let Some(memo) = &self.memo {
-                    memo.set_deps(&AnswerMemo::key(name, &given), deps.clone());
-                }
-                guard.settle(Some(rel.clone()));
+            if navigator.degradation().is_clean() {
+                guard.settle_with_deps(logged.clone(), deps.clone());
             } else {
                 guard.settle(None);
             }
         }
-        self.invocation_log.push((AnswerMemo::key(name, &given), rel.clone(), deps));
+        self.invocation_log.push((key, logged, deps));
         Ok(rel)
     }
 }
@@ -651,6 +811,29 @@ mod tests {
             cat.add_map(web.clone(), map);
         }
         (cat, data)
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "share one page store")]
+    fn add_map_compiled_refuses_a_second_page_store() {
+        let data = Dataset::generate(5, 600);
+        let web = standard_web(data.clone(), LatencyModel::lan());
+        let mut cat = VpsCatalog::new();
+        for (host, session) in sessions::all_sessions(&data).into_iter().take(2) {
+            let (map, _) = Recorder::record(web.clone(), host, &session).expect("records");
+            let (runtime, _) = SiteRuntime::analyze(web.clone(), map.clone());
+            cat.add_map_compiled(
+                web.clone(),
+                map,
+                runtime.nav.compiled().clone(),
+                &runtime.handles,
+                runtime.semantics.clone(),
+                FetchPolicy::default_policy(),
+                PageStore::new(),
+                None,
+            );
+        }
     }
 
     #[test]
@@ -767,6 +950,97 @@ mod tests {
             snap.sites.get("www.newsday.com").is_some_and(|s| s.served),
             "fair-share floor released after the site's first completed invocation"
         );
+    }
+
+    #[test]
+    fn sessions_build_navigators_only_for_invoked_sites() {
+        let (mut cat, _) = catalog();
+        assert_eq!(cat.navigators_built(), 0, "registering sites builds nothing");
+        let _ = cat.render_table1();
+        let _ = cat.bindings("kellys");
+        assert_eq!(cat.navigators_built(), 0, "metadata lookups build nothing");
+        cat.fetch("newsday", &AccessSpec::new().with("make", "ford")).expect("fetches");
+        cat.fetch("newsday", &AccessSpec::new().with("make", "honda")).expect("fetches");
+        assert_eq!(cat.navigators_built(), 1, "one site invoked, one navigator");
+        cat.fetch("autoWeb", &AccessSpec::new()).expect("fetches");
+        assert_eq!(cat.navigators_built(), 2);
+    }
+
+    #[test]
+    fn fair_share_floors_cover_sites_no_navigator_reached_yet() {
+        use webbase_navigation::budget::{BudgetDenial, QueryBudget};
+        let (mut cat, _) = catalog();
+        let sites = cat.index.sites.len() as u64;
+        // Two fetches of floor per site: every unreached site keeps its
+        // two reserved, so newsday alone may spend only its own two.
+        let budget = QueryBudget::unlimited().with_fetch_quota(2 * sites).with_fair_share(true);
+        let tracker = Arc::new(BudgetTracker::new(budget));
+        cat.set_budget(tracker.clone());
+        assert_eq!(cat.navigators_built(), 0);
+        assert_eq!(tracker.snapshot().sites.len() as u64, sites, "every site registered up front");
+        let _ = cat.fetch("newsday", &AccessSpec::new().with("make", "ford"));
+        assert_eq!(cat.navigators_built(), 1);
+        let snap = tracker.snapshot();
+        let newsday = &snap.sites["www.newsday.com"];
+        assert_eq!(newsday.fetches, 2, "{snap:?}");
+        assert!(newsday.denied > 0, "{snap:?}");
+        assert_eq!(tracker.exhausted(), Some(BudgetDenial::FairShareDeferred));
+    }
+
+    #[test]
+    fn a_preloaded_journal_reaches_navigators_built_afterwards() {
+        use webbase_navigation::budget::QueryBudget;
+        let spec = AccessSpec::new().with("make", "ford");
+        let (mut first, _) = catalog();
+        first.set_budget(Arc::new(BudgetTracker::new(QueryBudget::unlimited())));
+        let full = first.fetch("newsday", &spec).expect("fetches");
+        let token = first.resume_token().expect("budget attached");
+        assert!(!token.journal.is_empty());
+
+        let (mut resumed, _) = catalog();
+        resumed.set_budget(Arc::new(BudgetTracker::new(QueryBudget::unlimited())));
+        resumed.preload(&token);
+        assert_eq!(resumed.navigators_built(), 0, "preloading builds nothing");
+        assert_eq!(
+            resumed.resume_journal(),
+            token.journal,
+            "pages owed to an unbuilt navigator stay in the next token"
+        );
+        let again = resumed.fetch("newsday", &spec).expect("fetches");
+        assert_eq!(resumed.navigators_built(), 1);
+        assert_eq!(again, full);
+        assert_eq!(resumed.stats.total_pages(), 0, "every journalled page served from the preload");
+        assert_eq!(resumed.resume_journal(), token.journal);
+    }
+
+    #[test]
+    fn a_site_first_built_mid_query_reports_its_degradation_through_since() {
+        use webbase_webworld::faults::FlakySite;
+        use webbase_webworld::server::Site;
+        let data = Dataset::generate(5, 600);
+        let healthy = standard_web(data.clone(), LatencyModel::lan());
+        let flaky = standard_web_faulty(data.clone(), LatencyModel::lan(), |host, site| {
+            if host == "www.newsday.com" {
+                Box::new(FlakySite::new(site, 3)) as Box<dyn Site>
+            } else {
+                site
+            }
+        });
+        let mut cat = VpsCatalog::new();
+        for (host, session) in sessions::all_sessions(&data) {
+            let (map, _) = Recorder::record(healthy.clone(), host, &session).expect("records");
+            cat.add_map(flaky.clone(), map);
+        }
+        // The baseline predates every navigator: the site is first seen
+        // after it and must count from zero.
+        let before = cat.degradation();
+        assert!(before.sites.is_empty(), "{before:?}");
+        let _ = cat.fetch("newsday", &AccessSpec::new().with("make", "ford"));
+        let delta = cat.degradation().since(&before);
+        let newsday = delta.sites.get("www.newsday.com").expect("the invoked site reports");
+        assert!(newsday.failures > 0 && newsday.requests > 0, "{delta:?}");
+        assert_eq!(delta.sites.len(), 1, "only the invoked site appears: {delta:?}");
+        assert_eq!(cat.degradation(), delta, "nothing before the baseline to subtract");
     }
 
     #[test]

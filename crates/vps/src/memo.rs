@@ -28,12 +28,12 @@ pub type MemoKey = (String, Vec<(String, Value)>);
 
 #[derive(Debug)]
 struct MemoInner {
-    answers: SafeRwLock<HashMap<MemoKey, Relation>>,
+    answers: SafeRwLock<HashMap<MemoKey, Arc<Relation>>>,
     /// The page requests each memoised answer was computed from —
     /// recorded by the leader so drift in any of those pages can evict
     /// exactly the dependent entries (and so a memo *hit* can report
     /// the same dependencies without re-fetching anything).
-    deps: SafeRwLock<HashMap<MemoKey, Vec<Request>>>,
+    deps: SafeRwLock<HashMap<MemoKey, Arc<[Request]>>>,
     /// Keys some session is computing right now (singleflight): a
     /// second session asking for an in-flight key waits for the
     /// leader's answer instead of recomputing it.
@@ -46,6 +46,37 @@ struct MemoInner {
     /// during unwinding): each one is a waiter promotion with the
     /// failed leader's spend already charged to its own tenant.
     aborted: AtomicU64,
+    /// When each page and host last drifted. A leader records the
+    /// clock at its claim and publishes only if none of its own reads
+    /// drifted since: an answer computed across an invalidation may have
+    /// read a page before the drift reached the store, and its key was
+    /// not there to be evicted. Lock order: `answers`, `deps`, `drift`.
+    drift: SafeMutex<DriftClock>,
+}
+
+/// The memo's drift clock: one tick per invalidation, and the tick of the
+/// last invalidation naming each page and each host. Bounded by the
+/// pages and hosts of the Web.
+#[derive(Debug, Default)]
+struct DriftClock {
+    epoch: u64,
+    pages: HashMap<Request, u64>,
+    hosts: HashMap<String, u64>,
+}
+
+impl DriftClock {
+    /// Did an invalidation after `epoch` name one of `reads` or its host?
+    /// Deps-less answers are refused after any invalidation, as
+    /// invalidation evicts them conservatively.
+    fn drifted_since(&self, epoch: u64, reads: Option<&[Request]>) -> bool {
+        let after = |e: Option<&u64>| e.is_some_and(|&e| e > epoch);
+        match reads {
+            None => self.epoch != epoch,
+            Some(reads) => {
+                reads.iter().any(|r| after(self.pages.get(r)) || after(self.hosts.get(&r.url.host)))
+            }
+        }
+    }
 }
 
 /// A clone-cheap handle to one shared answer memo (`Arc` inside).
@@ -72,6 +103,7 @@ impl AnswerMemo {
                 misses: AtomicU64::new(0),
                 coalesced: AtomicU64::new(0),
                 aborted: AtomicU64::new(0),
+                drift: SafeMutex::new(DriftClock::default()),
             }),
         }
     }
@@ -83,7 +115,7 @@ impl AnswerMemo {
         (relation.to_string(), bindings)
     }
 
-    pub fn get(&self, key: &MemoKey) -> Option<Relation> {
+    pub fn get(&self, key: &MemoKey) -> Option<Arc<Relation>> {
         let found = self.inner.answers.read().get(key).cloned();
         match &found {
             Some(_) => self.inner.hits.fetch_add(1, Ordering::Relaxed),
@@ -92,13 +124,13 @@ impl AnswerMemo {
         found
     }
 
-    pub fn insert(&self, key: MemoKey, answer: Relation) {
+    pub fn insert(&self, key: MemoKey, answer: Arc<Relation>) {
         self.inner.answers.write().insert(key, answer);
     }
 
     /// Current answer for `key` without touching the hit/miss counters
     /// (freshness re-checks must not distort cache accounting).
-    pub fn peek(&self, key: &MemoKey) -> Option<Relation> {
+    pub fn peek(&self, key: &MemoKey) -> Option<Arc<Relation>> {
         self.inner.answers.read().get(key).cloned()
     }
 
@@ -109,68 +141,63 @@ impl AnswerMemo {
         self.inner.answers.write().remove(key).is_some()
     }
 
-    /// Record the page requests `key`'s answer was computed from.
-    pub fn set_deps(&self, key: &MemoKey, deps: Vec<Request>) {
-        self.inner.deps.write().insert(key.clone(), deps);
-    }
-
     /// The recorded page dependencies of a memoised answer.
-    pub fn deps_of(&self, key: &MemoKey) -> Vec<Request> {
-        self.inner.deps.read().get(key).cloned().unwrap_or_default()
+    pub fn deps_of(&self, key: &MemoKey) -> Arc<[Request]> {
+        self.inner.deps.read().get(key).cloned().unwrap_or_else(|| Arc::new([]))
     }
 
     /// Evict every entry that read one of `changed` — plus, conservatively,
     /// entries with *no* recorded dependencies (pre-tracking answers whose
     /// provenance is unknown). Returns the evicted keys.
     pub fn invalidate_dependents(&self, changed: &[Request]) -> Vec<MemoKey> {
-        let changed: HashSet<&Request> = changed.iter().collect();
-        let deps = self.inner.deps.read();
-        let mut victims: Vec<MemoKey> = Vec::new();
-        for key in self.inner.answers.read().keys() {
-            match deps.get(key) {
-                Some(reads) => {
-                    if reads.iter().any(|r| changed.contains(r)) {
-                        victims.push(key.clone());
-                    }
+        let set: HashSet<&Request> = changed.iter().collect();
+        self.invalidate(
+            |clock| {
+                for r in changed {
+                    clock.pages.insert(r.clone(), clock.epoch);
                 }
-                None => victims.push(key.clone()),
-            }
-        }
-        drop(deps);
-        self.remove_all(&victims);
-        victims
+            },
+            |reads| reads.iter().any(|r| set.contains(r)),
+        )
     }
 
     /// Evict every entry whose recorded dependencies touch `host` —
     /// plus, conservatively, deps-less entries. Returns the evicted keys.
     pub fn invalidate_host(&self, host: &str) -> Vec<MemoKey> {
-        let deps = self.inner.deps.read();
-        let mut victims: Vec<MemoKey> = Vec::new();
-        for key in self.inner.answers.read().keys() {
-            match deps.get(key) {
-                Some(reads) => {
-                    if reads.iter().any(|r| r.url.host == host) {
-                        victims.push(key.clone());
-                    }
-                }
-                None => victims.push(key.clone()),
-            }
-        }
-        drop(deps);
-        self.remove_all(&victims);
-        victims
+        self.invalidate(
+            |clock| {
+                clock.hosts.insert(host.to_string(), clock.epoch);
+            },
+            |reads| reads.iter().any(|r| r.url.host == host),
+        )
     }
 
-    fn remove_all(&self, keys: &[MemoKey]) {
-        if keys.is_empty() {
-            return;
-        }
+    /// One drift invalidation, atomic with respect to
+    /// [`LeaderGuard::settle`]: both hold the answer and deps locks, so a
+    /// leader either published before the scan (and is scanned) or finds
+    /// the drift on the clock and publishes nothing.
+    fn invalidate(
+        &self,
+        tick: impl FnOnce(&mut DriftClock),
+        affected: impl Fn(&[Request]) -> bool,
+    ) -> Vec<MemoKey> {
         let mut answers = self.inner.answers.write();
         let mut deps = self.inner.deps.write();
-        for key in keys {
+        {
+            let mut clock = self.inner.drift.lock();
+            clock.epoch += 1;
+            tick(&mut clock);
+        }
+        let victims: Vec<MemoKey> = answers
+            .keys()
+            .filter(|key| deps.get(*key).is_none_or(|reads| affected(reads)))
+            .cloned()
+            .collect();
+        for key in &victims {
             answers.remove(key);
             deps.remove(key);
         }
+        victims
     }
 
     /// Singleflight claim: either a memoised answer, or leadership of
@@ -202,7 +229,12 @@ impl AnswerMemo {
                 if first {
                     self.inner.misses.fetch_add(1, Ordering::Relaxed);
                 }
-                return MemoClaim::Leader(LeaderGuard { memo: self.clone(), key: key.clone() });
+                let epoch = self.inner.drift.lock().epoch;
+                return MemoClaim::Leader(LeaderGuard {
+                    memo: self.clone(),
+                    key: key.clone(),
+                    epoch,
+                });
             }
             if first {
                 self.inner.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -247,7 +279,7 @@ impl AnswerMemo {
 #[derive(Debug)]
 pub enum MemoClaim {
     /// A previous identical invocation already settled its answer.
-    Hit(Relation),
+    Hit(Arc<Relation>),
     /// The caller owns this key's computation; every other session
     /// asking for it waits until the guard settles (or is dropped).
     Leader(LeaderGuard),
@@ -261,17 +293,42 @@ pub enum MemoClaim {
 pub struct LeaderGuard {
     memo: AnswerMemo,
     key: MemoKey,
+    /// The memo's drift clock when leadership was taken.
+    epoch: u64,
 }
 
 impl LeaderGuard {
     /// Publish the computed answer — `None` when the run degraded and
     /// must not be replayed to other tenants — then release the key.
-    pub fn settle(self, answer: Option<Relation>) {
+    /// Without recorded deps, an answer computed across any drift
+    /// invalidation is dropped (see `drift`).
+    pub fn settle(self, answer: Option<Arc<Relation>>) {
         if let Some(rel) = answer {
-            self.memo.insert(self.key.clone(), rel);
+            self.publish(rel, None);
         }
         // Drop runs next: it clears the in-flight mark *after* the
         // answer is visible, which is the ordering `claim` relies on.
+    }
+
+    /// [`LeaderGuard::settle`] with the page requests the answer was
+    /// computed from, recorded atomically with it. The answer is
+    /// dropped if one of those requests, or its host, drifted since the
+    /// claim.
+    pub fn settle_with_deps(self, answer: Arc<Relation>, deps: Arc<[Request]>) {
+        self.publish(answer, Some(deps));
+    }
+
+    fn publish(&self, answer: Arc<Relation>, reads: Option<Arc<[Request]>>) {
+        let inner = &self.memo.inner;
+        let mut answers = inner.answers.write();
+        let mut deps = inner.deps.write();
+        if inner.drift.lock().drifted_since(self.epoch, reads.as_deref()) {
+            return;
+        }
+        if let Some(reads) = reads {
+            deps.insert(self.key.clone(), reads);
+        }
+        answers.insert(self.key.clone(), answer);
     }
 }
 
@@ -316,7 +373,7 @@ mod tests {
         assert!(memo.get(&key).is_none());
         let mut rel = Relation::new(Schema::new(["x"]));
         rel.push(Tuple::from_values([Value::Int(7)]));
-        memo.insert(key.clone(), rel.clone());
+        memo.insert(key.clone(), Arc::new(rel.clone()));
         let back = memo.get(&key).expect("present");
         assert_eq!(back.len(), 1);
         assert_eq!((memo.hits(), memo.misses()), (1, 1));
@@ -333,7 +390,7 @@ mod tests {
         let memo = AnswerMemo::new();
         let key = AnswerMemo::key("r", &[]);
         match memo.claim(&key) {
-            MemoClaim::Leader(guard) => guard.settle(Some(one_row())),
+            MemoClaim::Leader(guard) => guard.settle(Some(Arc::new(one_row()))),
             MemoClaim::Hit(_) => panic!("empty memo cannot hit"),
         }
         match memo.claim(&key) {
@@ -363,7 +420,7 @@ mod tests {
             })
             .collect();
         std::thread::sleep(Duration::from_millis(20));
-        leader.settle(Some(one_row()));
+        leader.settle(Some(Arc::new(one_row())));
         for worker in herd {
             assert_eq!(worker.join().expect("follower"), 1);
         }
@@ -391,7 +448,7 @@ mod tests {
         // The key is released: the next claimant becomes leader and the
         // herd converges as if the panic never happened.
         match memo.claim(&key) {
-            MemoClaim::Leader(guard) => guard.settle(Some(one_row())),
+            MemoClaim::Leader(guard) => guard.settle(Some(Arc::new(one_row()))),
             MemoClaim::Hit(_) => panic!("nothing was published by the panicker"),
         }
         match memo.claim(&key) {
@@ -404,7 +461,7 @@ mod tests {
     fn poisoned_memo_locks_recover_and_are_counted() {
         let memo = AnswerMemo::new();
         let key = AnswerMemo::key("r", &[]);
-        memo.insert(key.clone(), one_row());
+        memo.insert(key.clone(), Arc::new(one_row()));
         let before = webbase_obs::sync::poison_recoveries();
         let panicker = {
             let memo = memo.clone();
@@ -419,7 +476,7 @@ mod tests {
         assert!(memo.inner.inflight.raw().is_poisoned());
         // Reads, writes, and the singleflight protocol all keep working.
         assert_eq!(memo.get(&key).expect("still memoised").len(), 1);
-        memo.insert(AnswerMemo::key("s", &[]), one_row());
+        memo.insert(AnswerMemo::key("s", &[]), Arc::new(one_row()));
         match memo.claim(&AnswerMemo::key("t", &[])) {
             MemoClaim::Leader(guard) => guard.settle(None),
             MemoClaim::Hit(_) => panic!("unknown key cannot hit"),
@@ -436,12 +493,16 @@ mod tests {
         let on_a = AnswerMemo::key("r_a", &[]);
         let on_b = AnswerMemo::key("r_b", &[]);
         let unknown = AnswerMemo::key("legacy", &[]);
-        memo.insert(on_a.clone(), one_row());
-        memo.set_deps(&on_a, vec![page_a.clone()]);
-        memo.insert(on_b.clone(), one_row());
-        memo.set_deps(&on_b, vec![page_b.clone()]);
-        memo.insert(unknown.clone(), one_row());
-        assert_eq!(memo.deps_of(&on_a), vec![page_a.clone()]);
+        let publish = |key: &MemoKey, page: &Request| match memo.claim(key) {
+            MemoClaim::Leader(guard) => {
+                guard.settle_with_deps(Arc::new(one_row()), vec![page.clone()].into());
+            }
+            MemoClaim::Hit(_) => panic!("empty memo cannot hit"),
+        };
+        publish(&on_a, &page_a);
+        publish(&on_b, &page_b);
+        memo.insert(unknown.clone(), Arc::new(one_row()));
+        assert_eq!(*memo.deps_of(&on_a), *std::slice::from_ref(&page_a));
 
         // page_a drifts: r_a dies, r_b survives, deps-less legacy dies
         // conservatively.
@@ -472,5 +533,38 @@ mod tests {
             MemoClaim::Hit(_) => panic!("nothing was published"),
         }
         assert!(memo.is_empty());
+    }
+
+    #[test]
+    fn an_answer_computed_across_an_invalidation_is_not_published() {
+        // A leader claims, reads a page, a drift sweep invalidates while
+        // it computes (its key is not yet there to evict), then it
+        // settles: the possibly stale answer must not be published.
+        let memo = AnswerMemo::new();
+        let key = AnswerMemo::key("r", &[]);
+        let page = Request::get(webbase_webworld::url::Url::new("a.test", "/p"));
+        let MemoClaim::Leader(guard) = memo.claim(&key) else { panic!("empty memo") };
+        memo.invalidate_dependents(std::slice::from_ref(&page));
+        guard.settle_with_deps(Arc::new(one_row()), vec![page.clone()].into());
+        assert!(memo.is_empty(), "an answer computed across drift was published");
+        // Host-wide drift of its host refuses it too.
+        let MemoClaim::Leader(guard) = memo.claim(&key) else { panic!("nothing published") };
+        memo.invalidate_host("a.test");
+        guard.settle_with_deps(Arc::new(one_row()), vec![page.clone()].into());
+        assert!(memo.is_empty(), "an answer computed across host drift was published");
+        // Drift elsewhere does not: the check is against the leader's own
+        // reads, so sweeps over other hosts never starve it.
+        let MemoClaim::Leader(guard) = memo.claim(&key) else { panic!("nothing published") };
+        let elsewhere = Request::get(webbase_webworld::url::Url::new("b.test", "/p"));
+        memo.invalidate_dependents(std::slice::from_ref(&elsewhere));
+        memo.invalidate_host("c.test");
+        guard.settle_with_deps(Arc::new(one_row()), vec![page].into());
+        assert_eq!(memo.len(), 1);
+        // Without recorded deps, any drift since the claim refuses it.
+        let other = AnswerMemo::key("s", &[]);
+        let MemoClaim::Leader(guard) = memo.claim(&other) else { panic!("empty key") };
+        memo.invalidate_host("c.test");
+        guard.settle(Some(Arc::new(one_row())));
+        assert!(memo.peek(&other).is_none());
     }
 }

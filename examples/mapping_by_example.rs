@@ -41,7 +41,7 @@ fn main() {
     );
 
     println!("=== Compiled navigation program (Figure 4) ===\n");
-    let nav = SiteNavigator::new(web, map);
+    let nav = SiteNavigator::standalone(web, map);
     println!("{}", nav.render_program());
 
     println!("=== Executing newsday(make='ford', model='escort', …) ===\n");
@@ -72,12 +72,12 @@ fn main() {
     // "A navigation map is a collection of F-logic objects" — so that is
     // exactly how it persists. The fact text reloads into an identical,
     // executable map.
-    let facts = webbase_navigation::persist::render_facts(&nav.map);
+    let facts = webbase_navigation::persist::render_facts(nav.map());
     for line in facts.lines().take(14) {
         println!("  {line}");
     }
     println!("  … ({} lines total)", facts.lines().count());
     let reloaded = webbase_navigation::persist::parse_map(&facts).expect("facts reload");
-    assert_eq!(reloaded, nav.map);
+    assert_eq!(&reloaded, nav.map());
     println!("  reloaded map is identical: ✓");
 }

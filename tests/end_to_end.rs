@@ -185,7 +185,7 @@ fn figure_renderings_are_consistent() {
     // Figure 2 map renders with the Figure 4 program re-parseable.
     let map = wb.map_for("www.newsday.com").expect("mapped");
     assert!(map.render_dot().starts_with("digraph"));
-    let nav = webbase_navigation::executor::SiteNavigator::new(wb.web.clone(), map.clone());
+    let nav = webbase_navigation::executor::SiteNavigator::standalone(wb.web.clone(), map.clone());
     webbase_flogic::parser::parse_program(&nav.render_program())
         .expect("figure 4 output must re-parse");
     // Figure 5 + compatibility rules render.

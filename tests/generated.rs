@@ -188,7 +188,7 @@ fn invocation_fetches_land_inside_relation_intervals() {
             if spec.needs_sub() {
                 given.push((spec.attr("sub"), Value::str(spec.exemplar_sub())));
             }
-            let nav = SiteNavigator::new(web.clone(), map.clone());
+            let nav = SiteNavigator::standalone(web.clone(), map.clone());
             let (_, stats) = nav.run_relation(&spec.relation, &given).expect("invocation runs");
             let observed = stats.pages_fetched as u64;
             assert!(

@@ -92,7 +92,7 @@ fn repaired_map_still_answers_queries() {
     let (mut map, _) =
         Recorder::record(web_v1, "www.kbb.com", &sessions::kellys()).expect("records");
     check_map(web_v2.clone(), &mut map);
-    let nav = webbase_navigation::executor::SiteNavigator::new(web_v2, map);
+    let nav = webbase_navigation::executor::SiteNavigator::standalone(web_v2, map);
     use webbase_relational::Value;
     let (records, _) = nav
         .run_relation(

@@ -89,7 +89,7 @@ fn apartment_invocations_respect_their_relation_intervals() {
             let sem = site_semantics(map);
             for (name, given) in &bindings {
                 let Some(rel_sem) = sem.relation(name) else { continue };
-                let nav = SiteNavigator::new(web.clone(), map.clone());
+                let nav = SiteNavigator::standalone(web.clone(), map.clone());
                 let (_, stats) = nav.run_relation(name, given).expect("invocation runs");
                 let observed = stats.pages_fetched as u64;
                 assert!(
