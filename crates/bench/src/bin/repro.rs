@@ -143,12 +143,12 @@ fn main() {
     }
     if want("--fig5") {
         section("Figure 5 — UsedCarUR concept hierarchy");
-        println!("{}", wb.planner.hierarchy.render(&wb.ur_attributes()));
+        println!("{}", wb.planner.hierarchy().render(&wb.ur_attributes()));
     }
     if want("--ex62") {
         section("Example 6.2 — compatibility constraints and maximal objects");
-        println!("{}", wb.planner.rules.render());
-        let objects = maximal_objects(&wb.planner.hierarchy, &wb.planner.rules);
+        println!("{}", wb.planner.rules().render());
+        let objects = maximal_objects(wb.planner.hierarchy(), wb.planner.rules());
         println!("{}", render_maximal(&objects));
     }
     if want("--binding") {

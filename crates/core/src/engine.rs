@@ -50,11 +50,12 @@ use webbase_navigation::{
     DriftEvent, DriftKind, DriftOrigin, FetchPolicy, HostPools, PageStore, QueryBudget,
     RepairReport, ResumeToken, SweepReport, WalRecovery, WriteAheadLog,
 };
-use webbase_obs::sync::{SafeMutex, SafeRwLock};
+use webbase_obs::sync::SafeMutex;
 use webbase_relational::eval::{AccessSpec, Evaluator};
 use webbase_relational::{BaseDelta, Expr, Incremental, Relation};
-use webbase_ur::plan::{UrError, UrPlan, UrPlanner};
+use webbase_ur::plan::{UrError, UrExecution, UrPlan, UrPlanner};
 use webbase_ur::query::{parse_query, UrQuery};
+use webbase_ur::ConceptIndex;
 use webbase_vps::{AnswerMemo, Invocation, MemoClaim, MemoKey, SiteIndex, SiteRuntime, VpsCatalog};
 use webbase_vps::{Metric, MetricsRegistry, MetricsSnapshot};
 use webbase_webworld::prelude::*;
@@ -190,7 +191,7 @@ pub struct QueryOptions {
     /// Resume an earlier budget-exhausted (or cancelled) run from its
     /// token: the journalled pages are preloaded, so the fresh budget
     /// is spent entirely on the unfinished tail. Resumed runs bypass
-    /// the plan and result caches.
+    /// the result cache.
     pub resume: Option<ResumeToken>,
 }
 
@@ -215,7 +216,9 @@ impl QueryOptions {
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     pub relation: Relation,
-    pub plan: UrPlan,
+    /// The plan and what this run met. A cached answer returns the
+    /// published view's own plan with a clean report.
+    pub plan: UrExecution,
     pub observation: Option<QueryObservation>,
     pub metrics: MetricsSnapshot,
     /// Site navigators this query's session built: one per distinct
@@ -351,6 +354,9 @@ pub struct EngineStats {
 /// Everything the engine remembers about one published result-cache
 /// entry, for precise drift invalidation and incremental refresh.
 struct ViewRecord {
+    /// The plan the answer was computed from: a hit returns it, and
+    /// both refresh rungs re-run it.
+    plan: Arc<UrPlan>,
     /// Freshness epoch at publication: values published at or after the
     /// last drift touching their deps are current by definition.
     epoch: u64,
@@ -422,8 +428,8 @@ pub struct RefreshReport {
     pub delta_refreshed: usize,
     /// Views rebuilt by full re-evaluation.
     pub cold_refreshed: usize,
-    /// Views left evicted (no cached plan, or the refresh degraded);
-    /// the next query recomputes them.
+    /// Views left evicted (the refresh failed or degraded); the next
+    /// query recomputes them.
     pub evicted: usize,
 }
 
@@ -432,6 +438,7 @@ enum RefreshOutcome {
     Delta,
     Cold,
     Evicted,
+    AlreadyFresh,
 }
 
 /// Point-in-time freshness summary (the `FRESHNESS` verb's payload).
@@ -510,20 +517,14 @@ struct EngineInner {
     sites: Arc<SiteIndex>,
     relations: Arc<[LogicalRelation]>,
     planner: UrPlanner,
+    /// The planner's concept index over the shared schema, built with
+    /// the engine: every session plans over it.
+    concepts: Arc<ConceptIndex>,
     policy: FetchPolicy,
     store: PageStore,
     pool: Arc<HostPools>,
     memo: AnswerMemo,
     admission: Option<EngineAdmission>,
-    /// Parsed-query + plan cache, keyed by query text. Every session
-    /// is built from the same shared artifacts, so a plan computed
-    /// once is valid for every later session (see
-    /// `UrPlanner::execute_planned`). Traced and isolated runs bypass
-    /// it — traced ones so the Plan span is real, isolated ones
-    /// because the cache is one of the shared resources the baseline
-    /// must not touch.
-    /// The plan carries its base parse (`UrPlan::query`).
-    plans: SafeRwLock<HashMap<String, Arc<UrPlan>>>,
     /// Whole-query result cache, keyed by query text, with the same
     /// singleflight protocol as the invocation memo: when N identical
     /// queries arrive at once, one session executes and the rest wait
@@ -624,6 +625,13 @@ impl Engine {
             stats.push((site.host.clone(), s));
             sites.add(Arc::new(runtime));
         }
+        let sites = Arc::new(sites);
+        let relations: Arc<[LogicalRelation]> = corpus.relations.into();
+        let planner = UrPlanner::new(corpus.hierarchy, corpus.rules);
+        // One pass over the hierarchy against the shared schema; every
+        // session shares these sources, so the index serves them all.
+        let concepts = planner
+            .index(&LogicalLayer::new(VpsCatalog::with_sites(sites.clone()), relations.clone()));
         let store = match config.page_capacity {
             Some(cap) => PageStore::with_capacity(cap),
             None => PageStore::new(),
@@ -651,15 +659,15 @@ impl Engine {
             inner: Arc::new(EngineInner {
                 web,
                 data: corpus.data,
-                sites: Arc::new(sites),
-                relations: corpus.relations.into(),
-                planner: UrPlanner::new(corpus.hierarchy, corpus.rules),
+                sites,
+                relations,
+                planner,
+                concepts,
                 policy: config.policy,
                 store,
                 pool: Arc::new(HostPools::new(config.per_host_connections)),
                 memo: AnswerMemo::new(),
                 admission: config.admission.map(EngineAdmission::new),
-                plans: SafeRwLock::new(HashMap::new()),
                 results: AnswerMemo::new(),
                 preflight,
                 report: BuildReport { sites: stats },
@@ -691,16 +699,16 @@ impl Engine {
                 Engine::apply_drift(&inner, event);
             }
         });
-        // Settled results re-enter the cache alongside a fresh plan
-        // (planning is pure metadata work — no fetches — so the replay
-        // stays network-free). A record whose query no longer parses or
-        // plans is dropped like a torn one.
+        // Settled results re-enter the cache with a fresh plan in their
+        // ledger entry (planning is pure metadata work — no fetches — so
+        // the replay stays network-free). A record whose query no longer
+        // parses or plans is dropped like a torn one.
         let mut recovered_results = 0u64;
         let mut torn = recovery.torn;
+        let layer = engine.new_session();
         for (text, relation, deps) in &recovery.results {
             let replay = parse_query(text).ok().and_then(|base| {
-                let layer = engine.new_session();
-                engine.inner.planner.plan(&base, &layer).ok().map(|plan| {
+                engine.inner.concepts.plan(&base, &layer).ok().map(|plan| {
                     // Re-seed the ledger's static-host stamps from the
                     // replayed plan — the journal does not carry them.
                     let hosts = Engine::plan_semantics(&plan, &layer)
@@ -711,7 +719,6 @@ impl Engine {
             });
             match replay {
                 Some((plan, static_hosts)) => {
-                    engine.inner.plans.write().insert(text.clone(), Arc::new(plan));
                     engine
                         .inner
                         .results
@@ -723,6 +730,7 @@ impl Engine {
                     engine.inner.freshness.lock().views.insert(
                         text.clone(),
                         ViewRecord {
+                            plan: Arc::new(plan),
                             epoch: 0,
                             deps: Arc::from(deps.as_slice()),
                             object_results: Vec::new(),
@@ -836,17 +844,7 @@ impl Engine {
         if !isolated && inner.lifecycle.load(Ordering::SeqCst) != LIFECYCLE_RUNNING {
             return Err(EngineError::Draining);
         }
-        // Plan-cache fast path: reuse the parse and the plan computed
-        // by an earlier query with the same text.
-        let cached = if isolated || options.trace || options.resume.is_some() {
-            None
-        } else {
-            inner.plans.read().get(text).cloned()
-        };
-        let mut q = match &cached {
-            Some(plan) => plan.query.clone(),
-            None => parse_query(text).map_err(EngineError::Query)?,
-        };
+        let mut q = parse_query(text).map_err(EngineError::Query)?;
         if let Some(budget) = options.budget.clone() {
             q = q.with_budget(budget);
         }
@@ -869,7 +867,7 @@ impl Engine {
         let cancel = options.cancel.clone().unwrap_or_default();
         let _inflight = if isolated { None } else { Some(InflightGuard::register(inner, &cancel)) };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.run_admitted(text, &q, &options, isolated, &cancel, cached.as_deref())
+            self.run_admitted(text, &q, &options, isolated, &cancel)
         }));
         // The tenant consumed its admission whether the query
         // succeeded, failed, or panicked — the slot was held either
@@ -901,7 +899,7 @@ impl Engine {
     }
 
     /// Everything that runs *inside* the panic domain: singleflight
-    /// claim, session build, execution, publication.
+    /// claim, session build, planning, execution, publication.
     fn run_admitted(
         &self,
         text: &str,
@@ -909,7 +907,6 @@ impl Engine {
         options: &QueryOptions,
         isolated: bool,
         cancel: &CancelToken,
-        cached: Option<&UrPlan>,
     ) -> Result<QueryOutcome, EngineError> {
         let inner = &self.inner;
         // Whole-query singleflight over the result cache: when N
@@ -928,19 +925,14 @@ impl Engine {
                     // *current* cache value, vetted by the freshness
                     // ledger under its lock — never the claimed copy.
                     // A `None` drops through to an ordinary recompute.
-                    if let Some(relation) = self.fresh_hit(text) {
-                        // The leader populated the plan cache before it
-                        // executed, so a hit always finds the clean plan.
-                        let entry = inner.plans.read().get(text).cloned();
-                        if let Some(plan) = entry {
-                            return Ok(QueryOutcome {
-                                relation: Relation::clone(&relation),
-                                plan: UrPlan::clone(&plan),
-                                observation: None,
-                                metrics: MetricsSnapshot::default(),
-                                navigators_built: 0,
-                            });
-                        }
+                    if let Some((relation, plan)) = self.fresh_hit(text) {
+                        return Ok(QueryOutcome {
+                            relation: Relation::clone(&relation),
+                            plan: UrExecution::of(plan),
+                            observation: None,
+                            metrics: MetricsSnapshot::default(),
+                            navigators_built: 0,
+                        });
                     }
                     None
                 }
@@ -950,8 +942,15 @@ impl Engine {
             None
         };
         // The drift clock before this run reads any page (see
-        // `record_view`).
-        let since = result_lead.as_ref().map_or(0, |_| inner.freshness.lock().epoch);
+        // `record_view`), and the plan of an earlier publication of this
+        // text: drift evicts the answer but leaves the ledger entry.
+        let (since, published) = match &result_lead {
+            Some(_) => {
+                let ledger = inner.freshness.lock();
+                (ledger.epoch, ledger.views.get(text).map(|r| r.plan.clone()))
+            }
+            None => (0, None),
+        };
         let mut reads = None;
         let mut layer = if isolated {
             self.isolated_session()
@@ -967,6 +966,19 @@ impl Engine {
         };
         layer.vps.set_obs(obs.clone());
         layer.vps.set_cancel(cancel.clone());
+        // A recompute of a published text re-runs the ledger's plan;
+        // every other run that misses the result cache plans over the
+        // shared concept index, outside any lock. Traced and resumed
+        // runs plan inside `execute_with` instead: traced ones so the
+        // Plan span is real, resumed ones because the token's journal
+        // is preloaded first.
+        let planned = if options.trace || options.resume.is_some() {
+            None
+        } else if published.is_some() {
+            published
+        } else {
+            Some(Arc::new(inner.concepts.plan(q, &layer).map_err(EngineError::Plan)?))
+        };
         // Static admission (opt-in): when the abstract interpreter
         // proves the plan cannot complete within the budget's fetch
         // quota, deny *before any fetch* — planning and the fold over
@@ -975,17 +987,17 @@ impl Engine {
         // cold-store lower bound does not apply to them.
         if !isolated && inner.static_admission && options.resume.is_none() {
             if let Some(quota) = options.budget.as_ref().and_then(|b| b.max_fetches) {
-                let planned;
-                let plan_ref = match cached {
-                    Some(plan) => Some(plan),
+                // A traced run re-plans inside `execute_with`; the gate
+                // needs its plan now.
+                let traced;
+                let plan = match &planned {
+                    Some(plan) => Some(&**plan),
                     None => {
-                        planned = parse_query(text)
-                            .ok()
-                            .and_then(|b| inner.planner.plan(&b, &layer).ok());
-                        planned.as_ref()
+                        traced = inner.concepts.plan(q, &layer).ok();
+                        traced.as_ref()
                     }
                 };
-                if let Some(semantics) = plan_ref.and_then(|p| Self::plan_semantics(p, &layer)) {
+                if let Some(semantics) = plan.and_then(|p| Self::plan_semantics(p, &layer)) {
                     if semantics.cost.min > quota {
                         inner.drift_metrics.inc(Metric::StaticDenied);
                         let mut denials = inner.static_denials.lock();
@@ -1000,62 +1012,11 @@ impl Engine {
                 }
             }
         }
-        // Plan before executing so the cache is populated as soon as
-        // the plan exists — not after the first execution finishes.
-        // Under a concurrent cold start every same-text query would
-        // otherwise re-plan redundantly for the whole duration of the
-        // first run. Planning is pure metadata work (no fetches), so
-        // double-checked re-reads under the write lock are cheap.
-        let out: Result<(Relation, UrPlan), EngineError> = if options.resume.is_some() {
-            // A resumed run preloads its token's journal and re-plans
-            // privately — its partial provenance must not touch the
-            // shared plan or result caches.
-            inner
-                .planner
-                .execute_with(q, &mut layer, options.resume.as_ref())
-                .map_err(EngineError::Plan)
-        } else {
-            match cached {
-                Some(plan) => {
-                    inner.planner.execute_planned(q, plan, &mut layer).map_err(EngineError::Plan)
-                }
-                None if !isolated && !options.trace => {
-                    let entry = {
-                        let mut plans = inner.plans.write();
-                        match plans.get(text) {
-                            Some(entry) => Ok(entry.clone()),
-                            None => {
-                                // Plan from the *base* parse: a budget on
-                                // `q` must not leak into the shared cache.
-                                let base = match q.budget {
-                                    None => Ok(q.clone()),
-                                    Some(_) => parse_query(text).map_err(EngineError::Query),
-                                };
-                                base.and_then(|base| {
-                                    inner
-                                        .planner
-                                        .plan(&base, &layer)
-                                        .map_err(EngineError::Plan)
-                                        .map(|plan| {
-                                            let entry = Arc::new(plan);
-                                            plans.insert(text.to_string(), entry.clone());
-                                            entry
-                                        })
-                                })
-                            }
-                        }
-                    };
-                    entry.and_then(|plan| {
-                        inner
-                            .planner
-                            .execute_planned(q, &plan, &mut layer)
-                            .map_err(EngineError::Plan)
-                    })
-                }
-                None => inner.planner.execute(q, &mut layer).map_err(EngineError::Plan),
-            }
+        let out = match planned {
+            Some(plan) => inner.planner.execute_shared(q, plan, &mut layer),
+            None => inner.planner.execute_with(q, &mut layer, options.resume.as_ref()),
         };
-        let (relation, plan) = out?;
+        let (relation, plan) = out.map_err(EngineError::Plan)?;
         // Soundness tripwire: every page this run read must fall inside
         // the plan's static read-set (host granularity — the static set
         // over-approximates, so an escape is an analysis bug, not
@@ -1097,33 +1058,33 @@ impl Engine {
     }
 
     /// Serve-side of the freshness contract: the result-cache value for
-    /// `text`, but only if the ledger agrees it is current. `None`
-    /// sends the caller down the recompute path — a drift event landed
-    /// between the cache claim and now. `stale_served` is the tripwire
-    /// for values that *would* have gone out stale: a resident entry
-    /// whose recorded deps drifted after publication without the view
-    /// being marked. The eviction protocol (evict + mark under this
+    /// `text` and the plan it was computed from, but only if the ledger
+    /// agrees it is current. `None` sends the caller down the recompute
+    /// path — a drift event landed between the cache claim and now.
+    /// `stale_served` is the tripwire for values that *would* have gone
+    /// out stale: a resident entry whose recorded deps drifted after
+    /// publication without the view being marked. The eviction protocol (evict + mark under this
     /// same lock, synchronously with the event) makes that impossible,
     /// which is exactly what the consistency suites pin by asserting
     /// the counter stays zero.
-    fn fresh_hit(&self, text: &str) -> Option<Arc<Relation>> {
+    fn fresh_hit(&self, text: &str) -> Option<(Arc<Relation>, Arc<UrPlan>)> {
         let inner = &self.inner;
         let ledger = inner.freshness.lock();
         if ledger.drifted.contains(text) {
             return None;
         }
         let relation = inner.results.peek(&AnswerMemo::key(text, &[]))?;
-        if let Some(record) = ledger.views.get(text) {
-            // The static pre-seed backstops missing page provenance:
-            // host-wide drift on any host the plan *can* read makes the
-            // entry suspect even without a recorded dep there.
-            let stale = ledger.drifted_since(record.epoch, &record.deps, &record.static_hosts);
-            if stale {
-                inner.drift_metrics.inc(Metric::StaleServed);
-                return None; // refuse even here: recompute beats serving stale
-            }
+        // Every published answer has its ledger entry, written before
+        // the answer enters the cache.
+        let record = ledger.views.get(text)?;
+        // The static pre-seed backstops missing page provenance:
+        // host-wide drift on any host the plan *can* read makes the
+        // entry suspect even without a recorded dep there.
+        if ledger.drifted_since(record.epoch, &record.deps, &record.static_hosts) {
+            inner.drift_metrics.inc(Metric::StaleServed);
+            return None; // refuse even here: recompute beats serving stale
         }
-        Some(relation)
+        Some((relation, record.plan.clone()))
     }
 
     /// The VPS relations each plan object reads, resolved through the
@@ -1192,7 +1153,7 @@ impl Engine {
         &self,
         text: &str,
         relation: &Arc<Relation>,
-        plan: &UrPlan,
+        run: &UrExecution,
         layer: &LogicalLayer,
         mut deps: Vec<Request>,
         semantics: Option<PlanSemantics>,
@@ -1207,8 +1168,8 @@ impl Engine {
         // Per-object provenance only serves the delta rung, which needs
         // a strict subset of several objects: a one-object plan always
         // refreshes by re-evaluation and keeps none.
-        let (object_rels, invocations) = if plan.objects.len() > 1 {
-            let rels = Self::plan_vps_rels(plan, layer);
+        let (object_rels, invocations) = if run.objects.len() > 1 {
+            let rels = Self::plan_vps_rels(run, layer);
             let rels = rels.into_iter().map(|r| r.into_iter().collect()).collect();
             (rels, invocation_positions(log, &mut deps))
         } else {
@@ -1220,7 +1181,7 @@ impl Engine {
         };
         // The answer is the union of the object results, so a one-object
         // plan's object is the answer itself: share that allocation.
-        let object_results = match plan.object_results.as_slice() {
+        let object_results = match run.object_results.as_slice() {
             [_] => vec![relation.clone()],
             objects => objects.iter().cloned().map(Arc::new).collect(),
         };
@@ -1240,6 +1201,7 @@ impl Engine {
         ledger.views.insert(
             text.to_string(),
             ViewRecord {
+                plan: run.plan.clone(),
                 epoch,
                 deps,
                 object_results,
@@ -1345,6 +1307,8 @@ impl Engine {
                 RefreshOutcome::Delta => report.delta_refreshed += 1,
                 RefreshOutcome::Cold => report.cold_refreshed += 1,
                 RefreshOutcome::Evicted => report.evicted += 1,
+                // A query or a concurrent refresh re-published it first.
+                RefreshOutcome::AlreadyFresh => {}
             }
         }
         report
@@ -1362,19 +1326,19 @@ impl Engine {
     ///    fetch-economical for the same reasons, but no delta math.
     /// 3. **Eviction** — a failed or degraded refresh leaves the view
     ///    evicted; the next query recomputes and re-publishes it.
+    ///
+    /// A view re-published since the pass listed it (by a query that
+    /// missed, or by a concurrent refresh) is current and left alone.
     fn refresh_view(&self, text: &str) -> RefreshOutcome {
         let inner = &self.inner;
-        let plan_entry = inner.plans.read().get(text).cloned();
-        let Some(plan_entry) = plan_entry else {
-            // No cached plan to rebuild from (a recovered entry whose
-            // replay failed): stays evicted until someone queries it.
-            return RefreshOutcome::Evicted;
-        };
-        let (query, plan) = (&plan_entry.query, &*plan_entry);
         let snapshot = {
             let ledger = inner.freshness.lock();
+            if !ledger.drifted.contains(text) {
+                return RefreshOutcome::AlreadyFresh;
+            }
             ledger.views.get(text).map(|r| {
                 (
+                    r.plan.clone(),
                     r.object_results.clone(),
                     r.object_rels.clone(),
                     r.invocations.clone(),
@@ -1384,34 +1348,34 @@ impl Engine {
                 )
             })
         };
+        // Drifted texts come from ledger entries, and a published text
+        // parses; without either there is nothing to rebuild from.
+        let Some((plan, objects, rels, invocations, pending, wide, deps)) = snapshot else {
+            return RefreshOutcome::Evicted;
+        };
+        let Ok(query) = parse_query(text) else {
+            return RefreshOutcome::Evicted;
+        };
         // Rung 1 applies when per-page provenance lets us bound the
         // affected objects to a strict, non-empty subset.
-        let incremental = snapshot.and_then(|(objects, rels, invocations, pending, wide, deps)| {
-            if wide || pending.is_empty() || objects.len() != plan.objects.len() {
-                return None;
-            }
-            if rels.len() != plan.objects.len() {
-                return None;
-            }
-            let mut affected_rels: BTreeSet<String> = BTreeSet::new();
-            for (key, positions) in &invocations {
-                if positions.is_empty()
-                    || positions.iter().any(|&i| pending.contains(&deps[i as usize]))
-                {
-                    affected_rels.insert(key.0.clone());
-                }
-            }
-            let affected: Vec<usize> = (0..plan.objects.len())
-                .filter(|i| rels[*i].iter().any(|n| affected_rels.contains(n)))
-                .collect();
-            if affected.is_empty() || affected.len() == plan.objects.len() {
-                return None; // nothing attributable, or nothing to save
-            }
-            Some((objects, affected, deps))
-        });
-        if let Some((old_objects, affected, old_deps)) = incremental {
-            if let Some(outcome) = self.refresh_delta(text, plan, &old_objects, &affected, old_deps)
-            {
+        let n = plan.objects.len();
+        let affected: Vec<usize> =
+            if wide || pending.is_empty() || objects.len() != n || rels.len() != n {
+                Vec::new()
+            } else {
+                let affected_rels: BTreeSet<&str> = invocations
+                    .iter()
+                    .filter(|(_, positions)| {
+                        positions.is_empty()
+                            || positions.iter().any(|&i| pending.contains(&deps[i as usize]))
+                    })
+                    .map(|(key, _)| key.0.as_str())
+                    .collect();
+                (0..n).filter(|&i| rels[i].iter().any(|r| affected_rels.contains(&**r))).collect()
+            };
+        // Otherwise nothing is attributable, or there is nothing to save.
+        if !affected.is_empty() && affected.len() < n {
+            if let Some(outcome) = self.refresh_delta(text, &plan, &objects, &affected, deps) {
                 return outcome;
             }
         }
@@ -1422,7 +1386,7 @@ impl Engine {
         let since = inner.freshness.lock().epoch;
         let (mut layer, reads) = self.tracked_session();
         layer.vps.set_obs(Obs::metrics_only(Arc::new(MetricsRegistry::new())));
-        if let Ok((relation, executed)) = inner.planner.execute_planned(query, plan, &mut layer) {
+        if let Ok((relation, executed)) = inner.planner.execute_shared(&query, plan, &mut layer) {
             if executed.degradation.is_clean() {
                 // Structural drift found while rebuilding taints its
                 // host like healing-time drift — dependants evict
@@ -1641,7 +1605,7 @@ impl Engine {
     ) -> Result<(UrPlan, Option<PlanSemantics>), EngineError> {
         let q = parse_query(text).map_err(EngineError::Query)?;
         let layer = self.new_session();
-        let plan = self.inner.planner.plan(&q, &layer).map_err(EngineError::Plan)?;
+        let plan = self.inner.concepts.plan(&q, &layer).map_err(EngineError::Plan)?;
         let semantics = Self::plan_semantics(&plan, &layer);
         Ok((plan, semantics))
     }
@@ -1728,9 +1692,9 @@ impl Engine {
         &self.inner.preflight
     }
 
-    /// The UR's attribute list.
+    /// The UR's attribute list, in first-mention order.
     pub fn ur_attributes(&self) -> Vec<String> {
-        self.inner.planner.ur_attributes(&self.new_session())
+        self.inner.concepts.ur_attributes().to_vec()
     }
 }
 
@@ -2108,18 +2072,18 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_plan_cache_recovers_and_is_counted() {
+    fn poisoned_freshness_ledger_recovers_and_is_counted() {
         let engine = Engine::build_demo(5, 400, LatencyModel::lan());
         let before = webbase_obs::sync::poison_recoveries();
         let poisoner = {
             let engine = engine.clone();
             std::thread::spawn(move || {
-                let _guard = engine.inner.plans.raw().write().expect("first writer");
-                panic!("poison the plan cache");
+                let _guard = engine.inner.freshness.raw().lock().expect("first holder");
+                panic!("poison the freshness ledger");
             })
         };
         assert!(poisoner.join().is_err());
-        assert!(engine.inner.plans.raw().is_poisoned());
+        assert!(engine.inner.freshness.raw().is_poisoned());
         let out = engine.query("t", JAGUAR, QueryOptions::default()).expect("recovers");
         assert!(!out.relation.is_empty());
         assert!(engine.stats().lock_poison_recovered > before);
@@ -2419,6 +2383,14 @@ mod tests {
         assert!(view.invocations.is_empty() && view.object_rels.is_empty());
         // A one-invocation view shares its deps with the memo entry.
         assert!(Arc::strong_count(&view.deps) >= 2, "the ledger copied the deps");
+        // The view keeps the plan that ran, and a hit hands out that
+        // same plan: no re-plan, no copy.
+        assert!(Arc::ptr_eq(&out.plan.plan, &view.plan), "the ledger copied the plan");
+        drop(ledger);
+        let hit = engine.query("t", &text, QueryOptions::default()).expect("hits");
+        assert_eq!(engine.stats().result_hits, 1);
+        assert!(Arc::ptr_eq(&hit.plan.plan, &out.plan.plan), "a hit copied the plan");
+        assert_eq!(hit.relation, out.relation);
     }
 
     #[test]
@@ -2464,6 +2436,33 @@ mod tests {
         let f = engine.freshness();
         assert_eq!(f.tracked_views, 1);
         assert!(f.drifted.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn refresh_skips_a_view_a_query_republished_first() {
+        // A query that misses on a drifted view recomputes and
+        // re-publishes it; a refresh pass that listed the view before
+        // then leaves the new answer alone instead of deriving it again.
+        let engine = Engine::build_demo(5, 400, LatencyModel::lan());
+        engine.query("t", FORD, QueryOptions::default()).expect("runs");
+        let dep = engine.inner.freshness.lock().views[FORD].deps[0].clone();
+        engine.drift_bus().publish(DriftEvent {
+            host: dep.url.host.clone(),
+            kind: DriftKind::PageChanged,
+            origin: DriftOrigin::Sweep,
+            requests: vec![dep],
+            node: None,
+        });
+        assert_eq!(engine.freshness().drifted, vec![FORD.to_string()]);
+        engine.query("t", FORD, QueryOptions::default()).expect("recomputes");
+        assert!(engine.freshness().drifted.is_empty(), "the miss re-published the view");
+        let key = AnswerMemo::key(FORD, &[]);
+        let served = engine.inner.results.peek(&key).expect("published");
+        assert!(matches!(engine.refresh_view(FORD), RefreshOutcome::AlreadyFresh));
+        let after = engine.inner.results.peek(&key).expect("still published");
+        assert!(Arc::ptr_eq(&served, &after), "the refresh re-derived a current view");
+        let stats = engine.stats();
+        assert_eq!(stats.delta_refresh + stats.cold_refresh, 0, "{stats:?}");
     }
 
     #[test]

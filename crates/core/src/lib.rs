@@ -53,7 +53,7 @@ pub use webbase_logical::{
 };
 pub use webbase_navigation::{CancelToken, ResumeToken};
 pub use webbase_relational::Relation;
-pub use webbase_ur::{UrPlan, UrQuery};
+pub use webbase_ur::{UrExecution, UrPlan, UrQuery};
 pub use webbase_webcheck::{
     check_cross_layer, check_manifest, check_map, check_site, reported_codes, Diagnostic,
     ManifestCheck, Report, Severity,

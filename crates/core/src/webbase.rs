@@ -7,7 +7,7 @@ use webbase_navigation::recorder::{MapStats, RecordError};
 use webbase_relational::Relation;
 use webbase_ur::compat::example62_rules;
 use webbase_ur::hierarchy::figure5;
-use webbase_ur::plan::{UrError, UrPlan, UrPlanner};
+use webbase_ur::plan::{UrError, UrExecution, UrPlan, UrPlanner};
 use webbase_ur::query::parse_query;
 use webbase_vps::VpsCatalog;
 use webbase_webworld::prelude::*;
@@ -168,7 +168,7 @@ impl Webbase {
     }
 
     /// Parse and execute a structured-UR query.
-    pub fn query(&mut self, text: &str) -> Result<(Relation, UrPlan), WebbaseError> {
+    pub fn query(&mut self, text: &str) -> Result<(Relation, UrExecution), WebbaseError> {
         let q = parse_query(text).map_err(WebbaseError::Query)?;
         self.planner.execute(&q, &mut self.layer).map_err(WebbaseError::Plan)
     }
@@ -183,7 +183,7 @@ impl Webbase {
     pub fn query_traced(
         &mut self,
         text: &str,
-    ) -> Result<(Relation, UrPlan, QueryObservation), WebbaseError> {
+    ) -> Result<(Relation, UrExecution, QueryObservation), WebbaseError> {
         let q = parse_query(text).map_err(WebbaseError::Query)?;
         let obs = Obs::full();
         self.layer.vps.set_obs(obs.clone());
@@ -205,7 +205,7 @@ impl Webbase {
         &mut self,
         text: &str,
         budget: webbase_logical::QueryBudget,
-    ) -> Result<(Relation, UrPlan), WebbaseError> {
+    ) -> Result<(Relation, UrExecution), WebbaseError> {
         let q = parse_query(text).map_err(WebbaseError::Query)?.with_budget(budget);
         self.planner.execute(&q, &mut self.layer).map_err(WebbaseError::Plan)
     }
@@ -219,7 +219,7 @@ impl Webbase {
         &mut self,
         text: &str,
         token: &webbase_logical::ResumeToken,
-    ) -> Result<(Relation, UrPlan), WebbaseError> {
+    ) -> Result<(Relation, UrExecution), WebbaseError> {
         let q = parse_query(text).map_err(WebbaseError::Query)?;
         self.planner.execute_with(&q, &mut self.layer, Some(token)).map_err(WebbaseError::Plan)
     }
@@ -306,9 +306,9 @@ pub fn check_stack(
             bases: r.def.base_relations().iter().map(ToString::to_string).collect(),
         })
         .collect();
-    let concepts = planner.hierarchy.alternatives().map(|a| a.name.clone()).collect();
+    let concepts = planner.hierarchy().alternatives().map(|a| a.name.clone()).collect();
     let compat = planner
-        .rules
+        .rules()
         .rules
         .iter()
         .map(|r| match r {

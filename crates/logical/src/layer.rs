@@ -10,11 +10,11 @@
 //! (the classical "layers all the way down" of Figure 1).
 
 use crate::schema::LogicalRelation;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use webbase_relational::binding::{propagate, BindingSet};
 use webbase_relational::eval::{AccessSpec, EvalError, Evaluator, RelationProvider};
 use webbase_relational::{Relation, Schema};
-use webbase_vps::{SpanKind, VpsCatalog, QUERY_TRACK};
+use webbase_vps::{SiteIndex, SpanKind, VpsCatalog, QUERY_TRACK};
 
 /// The logical layer: definitions + the VPS beneath them. The
 /// definitions are immutable and shared (`Arc`), so every session over
@@ -45,6 +45,16 @@ impl LogicalLayer {
         self.relations.iter().find(|r| r.name == name)
     }
 
+    /// The identity of everything this layer's schemas and bindings are
+    /// derived from, for caches of schema-derived metadata.
+    pub fn schema_key(&self) -> SchemaKey {
+        SchemaKey {
+            relations: Arc::downgrade(&self.relations),
+            sites: Arc::downgrade(self.vps.site_index()),
+            relaxed_union: self.relaxed_union,
+        }
+    }
+
     /// The §5 binding-propagation report: every logical relation with
     /// its derived minimal bindings (the paper's `classifieds → {Make}`
     /// example).
@@ -55,6 +65,28 @@ impl LogicalLayer {
             out.push_str(&format!("  {}: {}\n", r.name, b));
         }
         out
+    }
+}
+
+/// Identifies a layer's schema sources by allocation: the shared
+/// definition list and the shared site index. Two layers with the same
+/// key answer every schema and binding question alike (the engine's
+/// sessions all share one key). The pointers are weak, so a key keeps
+/// nothing alive, and a live key's allocations cannot be reused by a
+/// different layer.
+#[derive(Debug)]
+pub struct SchemaKey {
+    relations: Weak<[LogicalRelation]>,
+    sites: Weak<SiteIndex>,
+    relaxed_union: bool,
+}
+
+impl SchemaKey {
+    /// Does `layer` derive its schemas from the same sources?
+    pub fn matches(&self, layer: &LogicalLayer) -> bool {
+        std::ptr::eq(self.relations.as_ptr(), Arc::as_ptr(&layer.relations))
+            && std::ptr::eq(self.sites.as_ptr(), Arc::as_ptr(layer.vps.site_index()))
+            && self.relaxed_union == layer.relaxed_union
     }
 }
 

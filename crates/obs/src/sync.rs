@@ -4,14 +4,14 @@
 //! A std `Mutex`/`RwLock` poisons itself when a holder panics, and every
 //! later `.lock().expect(..)` then takes the whole process down — one
 //! misbehaving query would permanently wedge the shared engine's page
-//! store, answer memo, and plan cache. These wrappers recover instead:
+//! store and memo tables. These wrappers recover instead:
 //! a poisoned acquisition strips the `PoisonError`, bumps the global
 //! [`poison_recoveries`] counter (surfaced as `lock_poison_recovered`
 //! in engine stats), and hands back the guard.
 //!
 //! Recovery is sound here because every structure guarded by these
 //! wrappers maintains its invariants *between* mutations: the page
-//! store, memo tables, plan cache, and admission ledger each update a
+//! store, memo tables, and admission ledger each update a
 //! map entry or counter atomically under the guard, so a panic can at
 //! worst lose the in-flight update — never leave a half-written entry.
 //! Structures without that property must not use these wrappers.

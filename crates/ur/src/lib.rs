@@ -22,16 +22,19 @@
 //!   objects that cover its attributes;
 //! * the [`query`] language is attribute list + conditions, with a tiny
 //!   parser; [`plan`] translates a query into binding-aware algebra over
-//!   the logical layer and executes it.
+//!   the logical layer and executes it, planning over a concept [`index`]
+//!   derived once per layer schema.
 
 pub mod compat;
 pub mod hierarchy;
+pub mod index;
 pub mod maximal;
 pub mod plan;
 pub mod query;
 
 pub use compat::{CompatRule, CompatRules};
 pub use hierarchy::{Alternative, ChoiceGroup, Hierarchy};
+pub use index::ConceptIndex;
 pub use maximal::maximal_objects;
-pub use plan::{UrPlan, UrPlanner};
+pub use plan::{UrExecution, UrPlan, UrPlanner};
 pub use query::{parse_query, UrQuery};

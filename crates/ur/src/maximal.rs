@@ -15,6 +15,39 @@ use std::collections::BTreeSet;
 /// A set of alternative names.
 pub type AltSet = BTreeSet<String>;
 
+/// The alternatives of one planned or skipped object, in name order
+/// like an [`AltSet`] but held in one slice: every published view
+/// keeps its plan, so this is stored once per object.
+#[derive(Clone, PartialEq, Eq)]
+pub struct AltNames(Box<[String]>);
+
+impl AltNames {
+    pub fn contains(&self, name: &str) -> bool {
+        self.0.binary_search_by(|n| n.as_str().cmp(name)).is_ok()
+    }
+
+    pub fn iter(&self) -> std::slice::Iter<'_, String> {
+        self.0.iter()
+    }
+}
+
+/// Names in name order (callers pass them sorted, as an [`AltSet`]
+/// iterates).
+impl FromIterator<String> for AltNames {
+    fn from_iter<I: IntoIterator<Item = String>>(names: I) -> AltNames {
+        let names: Box<[String]> = names.into_iter().collect();
+        debug_assert!(names.windows(2).all(|w| w[0] <= w[1]), "alternatives out of name order");
+        AltNames(names)
+    }
+}
+
+/// Renders like an [`AltSet`]: `{"Dealers", "Loan"}`.
+impl std::fmt::Debug for AltNames {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.0.iter()).finish()
+    }
+}
+
 /// Is `set` compatible: ≤1 alternative per group and rules satisfied?
 pub fn is_compatible(h: &Hierarchy, rules: &CompatRules, set: &AltSet) -> bool {
     for g in &h.groups {

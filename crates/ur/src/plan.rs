@@ -9,7 +9,9 @@
 //!
 //! The planner:
 //!
-//! 1. enumerates the *minimal covering compatible sets* of alternatives;
+//! 1. enumerates the *minimal covering compatible sets* of alternatives,
+//!    over a [`ConceptIndex`] that confines the enumeration to the
+//!    alternatives the query can use;
 //! 2. translates each into algebra over the logical layer — each
 //!    alternative contributes `σ_fixed(relation)`, joined in a
 //!    **binding-feasible order** computed by
@@ -20,54 +22,33 @@
 
 use crate::compat::CompatRules;
 use crate::hierarchy::Hierarchy;
-use crate::maximal::{compatible_sets, AltSet};
+use crate::index::ConceptIndex;
+use crate::maximal::AltNames;
 use crate::query::UrQuery;
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, PoisonError, RwLock};
 use webbase_logical::{
     BudgetSnapshot, BudgetTracker, LogicalLayer, Obs, ResumeToken, SpanHandle, SpanKind,
     QUERY_TRACK,
 };
-use webbase_relational::eval::{AccessSpec, EvalError, Evaluator, RelationProvider};
-use webbase_relational::ordering::{order_exact, JoinInput};
-use webbase_relational::{Attr, Expr, Pred, Relation};
+use webbase_relational::eval::{AccessSpec, EvalError, Evaluator};
+use webbase_relational::{Expr, Relation};
 
 /// One planned maximal-object query.
 #[derive(Debug, Clone)]
 pub struct PlannedObject {
-    pub alternatives: AltSet,
+    pub alternatives: AltNames,
     pub expr: Expr,
 }
 
-/// A full UR plan.
+/// A full UR plan: pure metadata, valid for every session over the same
+/// layer schema, and small, because every published view keeps one.
 #[derive(Debug, Clone)]
 pub struct UrPlan {
-    pub query: UrQuery,
     pub objects: Vec<PlannedObject>,
     /// Covering sets that could not be ordered under the available
     /// bindings, with the reason.
-    pub skipped: Vec<(AltSet, String)>,
-    /// What the Web did to *this* execution: per-site retries, timeouts,
-    /// fast-fails, and abandoned branches (empty until [`UrPlanner::execute`]
-    /// runs the plan, and clean when every site behaved).
-    pub degradation: webbase_logical::DegradationReport,
-    /// What self-healing did during *this* execution: repairs applied,
-    /// runs replayed, sessions recovered, nodes quarantined (same
-    /// lifecycle as `degradation`).
-    pub repairs: webbase_logical::RepairReport,
-    /// Spend accounting when the query carried a budget: elapsed
-    /// simulated time, fetches, and the per-site breakdown including
-    /// every denial.
-    pub budget: Option<BudgetSnapshot>,
-    /// Set when the budget ran out before the plan finished: replaying
-    /// the query with this token (see [`UrPlanner::execute_with`])
-    /// continues from the journalled pages without re-fetching them.
-    pub resume: Option<ResumeToken>,
-    /// Each object's individual result, in `objects` order (empty until
-    /// execution). The full answer is their union; keeping the per-object
-    /// values lets a maintained view refresh only the objects a drift
-    /// event touched and re-derive the union incrementally.
-    pub object_results: Vec<Relation>,
+    pub skipped: Vec<(AltNames, String)>,
 }
 
 impl UrPlan {
@@ -84,6 +65,55 @@ impl UrPlan {
             out.push_str(&format!("  skipped {}: {why}\n", names.join(" ⋈ ")));
         }
         out
+    }
+}
+
+/// One execution of a [`UrPlan`]: the plan it ran plus what the Web did
+/// to *this* run. Dereferences to the plan.
+#[derive(Debug, Clone)]
+pub struct UrExecution {
+    pub plan: Arc<UrPlan>,
+    /// Per-site retries, timeouts, fast-fails, and abandoned branches
+    /// (clean when every site behaved).
+    pub degradation: webbase_logical::DegradationReport,
+    /// What self-healing did: repairs applied, runs replayed, sessions
+    /// recovered, nodes quarantined.
+    pub repairs: webbase_logical::RepairReport,
+    /// Spend accounting when the query carried a budget: elapsed
+    /// simulated time, fetches, and the per-site breakdown including
+    /// every denial.
+    pub budget: Option<BudgetSnapshot>,
+    /// Set when the budget ran out before the plan finished: replaying
+    /// the query with this token (see [`UrPlanner::execute_with`])
+    /// continues from the journalled pages without re-fetching them.
+    pub resume: Option<ResumeToken>,
+    /// Each object's individual result, in `objects` order. The full
+    /// answer is their union; keeping the per-object values lets a
+    /// maintained view refresh only the objects a drift event touched
+    /// and re-derive the union incrementally.
+    pub object_results: Vec<Relation>,
+}
+
+impl UrExecution {
+    /// A clean report over `plan` with nothing executed — what a cached
+    /// answer comes back with.
+    pub fn of(plan: Arc<UrPlan>) -> UrExecution {
+        UrExecution {
+            plan,
+            degradation: webbase_logical::DegradationReport::default(),
+            repairs: webbase_logical::RepairReport::default(),
+            budget: None,
+            resume: None,
+            object_results: Vec::new(),
+        }
+    }
+}
+
+impl Deref for UrExecution {
+    type Target = UrPlan;
+
+    fn deref(&self) -> &UrPlan {
+        &self.plan
     }
 }
 
@@ -124,201 +154,58 @@ impl From<EvalError> for UrError {
 }
 
 /// The planner: hierarchy + rules over a logical layer.
+///
+/// Planning runs over a [`ConceptIndex`], derived from the hierarchy,
+/// the rules and the layer's schema on first use and kept until a layer
+/// with other schema sources comes along (every session of one engine
+/// shares its sources, so the engine derives it once).
 pub struct UrPlanner {
-    pub hierarchy: Hierarchy,
-    pub rules: CompatRules,
+    hierarchy: Hierarchy,
+    rules: CompatRules,
+    index: RwLock<Option<Arc<ConceptIndex>>>,
 }
 
 impl UrPlanner {
     pub fn new(hierarchy: Hierarchy, rules: CompatRules) -> UrPlanner {
-        UrPlanner { hierarchy, rules }
+        UrPlanner { hierarchy, rules, index: RwLock::new(None) }
     }
 
-    /// The UR's full attribute list (for rendering Figure 5 and for the
-    /// user interface's attribute picker).
+    pub fn hierarchy(&self) -> &Hierarchy {
+        &self.hierarchy
+    }
+
+    pub fn rules(&self) -> &CompatRules {
+        &self.rules
+    }
+
+    /// The concept index for `layer`'s schema, built on first use.
+    pub fn index(&self, layer: &LogicalLayer) -> Arc<ConceptIndex> {
+        let cached = self.index.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(index) = cached.as_ref().filter(|i| i.matches(layer)) {
+            return index.clone();
+        }
+        drop(cached);
+        let index = Arc::new(ConceptIndex::build(&self.hierarchy, &self.rules, layer));
+        *self.index.write().unwrap_or_else(PoisonError::into_inner) = Some(index.clone());
+        index
+    }
+
+    /// The UR's full attribute list, in first-mention order (for
+    /// rendering Figure 5 and for the user interface's attribute picker).
     pub fn ur_attributes(&self, layer: &LogicalLayer) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for alt in self.hierarchy.alternatives() {
-            if let Some(s) = layer.schema(&alt.relation) {
-                for a in s.attrs() {
-                    if !out.contains(&a.as_str().to_string()) {
-                        out.push(a.as_str().to_string());
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Attributes provided by a set of alternatives.
-    fn covered(&self, set: &AltSet, layer: &LogicalLayer) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for name in set {
-            if let Some(alt) = self.hierarchy.alternative(name) {
-                if let Some(s) = layer.schema(&alt.relation) {
-                    out.extend(s.attrs().iter().map(|a| a.as_str().to_string()));
-                }
-            }
-        }
-        out
+        self.index(layer).ur_attributes().to_vec()
     }
 
     /// Plan a query against a logical layer.
     pub fn plan(&self, query: &UrQuery, layer: &LogicalLayer) -> Result<UrPlan, UrError> {
-        // Computed columns are defined by the query itself; the base
-        // relations only need to cover their *inputs*.
-        let mentioned = query.base_mentioned();
-        let ur_attrs = self.ur_attributes(layer);
-        for a in &mentioned {
-            if !ur_attrs.contains(a) {
-                return Err(UrError::UnknownAttribute(a.clone()));
-            }
-        }
-        let need: BTreeSet<String> = mentioned.iter().cloned().collect();
-
-        // Minimal covering compatible sets.
-        let all = compatible_sets(&self.hierarchy, &self.rules);
-        let covering: Vec<AltSet> = all
-            .into_iter()
-            .filter(|s| !s.is_empty() && need.is_subset(&self.covered(s, layer)))
-            .collect();
-        if covering.is_empty() {
-            return Err(UrError::NotCoverable(mentioned));
-        }
-        let minimal: Vec<AltSet> = covering
-            .iter()
-            .filter(|s| !covering.iter().any(|t| *t != **s && t.is_subset(s)))
-            .cloned()
-            .collect();
-
-        // Translate each minimal covering set.
-        let constants: BTreeSet<Attr> =
-            query.constants().iter().map(|(a, _)| Attr::new(a.clone())).collect();
-        let mut objects = Vec::new();
-        let mut skipped = Vec::new();
-        for set in minimal {
-            match self.object_expr(&set, query, layer, &constants) {
-                Ok(expr) => objects.push(PlannedObject { alternatives: set, expr }),
-                Err(reason) => skipped.push((set, reason)),
-            }
-        }
-        if objects.is_empty() {
-            let reasons: Vec<String> = skipped.iter().map(|(s, r)| format!("{s:?}: {r}")).collect();
-            return Err(UrError::InsufficientBindings(reasons.join("; ")));
-        }
-        let obs = layer.vps.obs();
-        if obs.tracing() {
-            for o in &objects {
-                let names: Vec<&str> = o.alternatives.iter().map(String::as_str).collect();
-                obs.sink.event(
-                    QUERY_TRACK,
-                    SpanKind::PlanObject,
-                    names.join(" ⋈ "),
-                    vec![("expr", o.expr.to_string())],
-                );
-            }
-            for (set, why) in &skipped {
-                let names: Vec<&str> = set.iter().map(String::as_str).collect();
-                obs.sink.event(
-                    QUERY_TRACK,
-                    SpanKind::PlanSkipped,
-                    names.join(" ⋈ "),
-                    vec![("reason", why.clone())],
-                );
-            }
-        }
-        Ok(UrPlan {
-            query: query.clone(),
-            objects,
-            skipped,
-            degradation: webbase_logical::DegradationReport::default(),
-            repairs: webbase_logical::RepairReport::default(),
-            budget: None,
-            resume: None,
-            object_results: Vec::new(),
-        })
+        self.index(layer).plan(query, layer)
     }
 
-    /// Build one object's conjunctive query, join-ordered under bindings.
-    fn object_expr(
-        &self,
-        set: &AltSet,
-        query: &UrQuery,
-        layer: &LogicalLayer,
-        constants: &BTreeSet<Attr>,
-    ) -> Result<Expr, String> {
-        // Each alternative contributes σ_fixed(relation).
-        let mut inputs: Vec<(String, Expr)> = Vec::new();
-        for name in set {
-            let alt = self
-                .hierarchy
-                .alternative(name)
-                .ok_or_else(|| format!("unknown alternative {name}"))?;
-            let pred = alt.fixed_pred();
-            let expr = if pred == Pred::True {
-                Expr::relation(&alt.relation)
-            } else {
-                Expr::relation(&alt.relation).select(pred)
-            };
-            inputs.push((name.clone(), expr));
-        }
-        // Binding-aware ordering.
-        let join_inputs: Vec<JoinInput> = inputs
-            .iter()
-            .map(|(name, expr)| {
-                let schema = expr
-                    .schema(&|n| layer.schema(n))
-                    .ok_or_else(|| format!("no schema for {name}"))?;
-                let bindings = webbase_relational::binding::propagate(
-                    expr,
-                    &|n| layer.bindings(n),
-                    &|n| layer.schema(n),
-                    false,
-                );
-                Ok(JoinInput::new(name, schema, bindings))
-            })
-            .collect::<Result<_, String>>()?;
-        let order = order_exact(&join_inputs, constants).ok_or_else(|| {
-            format!(
-                "no feasible join order with bound attributes {:?}",
-                constants.iter().map(Attr::as_str).collect::<Vec<_>>()
-            )
-        })?;
-        let mut iter = order.iter();
-        let first = *iter.next().expect("covering sets are non-empty");
-        let mut expr = inputs[first].1.clone();
-        for &i in iter {
-            expr = expr.join(inputs[i].1.clone());
-        }
-        // Computed columns (§6.2's monthly payments), in mention order.
-        for (name, formula) in &query.computed {
-            expr = expr.extend(name.as_str(), formula.clone());
-        }
-        // Query conditions, then the output projection.
-        let pred = query.pred();
-        if pred != Pred::True {
-            expr = expr.select(pred);
-        }
-        let expr = expr.project(query.outputs.iter().map(String::as_str));
-        // §2: "the entire query can be optimized using techniques that
-        // are akin to relational algebra transformations" — push the
-        // selections toward the base relations, which also surfaces
-        // binding values earlier.
-        let optimized = webbase_relational::optimize::optimize(&expr, &|n| layer.schema(n));
-        let obs = layer.vps.obs();
-        if obs.tracing() {
-            let from = expr.to_string();
-            let to = optimized.to_string();
-            if from != to {
-                obs.sink.event(
-                    QUERY_TRACK,
-                    SpanKind::Rewrite,
-                    "push selections".to_string(),
-                    vec![("from", from), ("to", to)],
-                );
-            }
-        }
-        Ok(optimized)
+    /// The compatible sets planning `query` enumerates — a
+    /// deterministic work count that follows the query's footprint,
+    /// not the size of the hierarchy.
+    pub fn sets_enumerated(&self, query: &UrQuery, layer: &LogicalLayer) -> Result<usize, UrError> {
+        self.index(layer).sets_enumerated(query)
     }
 
     /// Plan and execute: the union over the objects' results.
@@ -326,7 +213,7 @@ impl UrPlanner {
         &self,
         query: &UrQuery,
         layer: &mut LogicalLayer,
-    ) -> Result<(Relation, UrPlan), UrError> {
+    ) -> Result<(Relation, UrExecution), UrError> {
         self.execute_with(query, layer, None)
     }
 
@@ -345,7 +232,7 @@ impl UrPlanner {
         query: &UrQuery,
         layer: &mut LogicalLayer,
         resume: Option<&ResumeToken>,
-    ) -> Result<(Relation, UrPlan), UrError> {
+    ) -> Result<(Relation, UrExecution), UrError> {
         // The Query root span is begun *before* planning so the Plan
         // span (and the rewrite/object events it emits) nest under it.
         let obs = layer.vps.obs().clone();
@@ -378,7 +265,7 @@ impl UrPlanner {
             }
         }
         let plan = planned?;
-        self.run_plan(query, plan, layer, resume, &obs, root)
+        self.run_plan(query, Arc::new(plan), layer, resume, &obs, root)
     }
 
     /// Execute a *previously computed* plan, skipping the planning
@@ -386,14 +273,25 @@ impl UrPlanner {
     /// the same query text over a layer with the same schema and
     /// handles — which is exactly the multi-query engine's situation:
     /// every per-query session is built from the same shared artifacts,
-    /// so a plan computed once is valid for every session, and the
-    /// engine caches it by query text.
+    /// so a plan computed once is valid for every session, and a
+    /// published view keeps its plan for refresh.
     pub fn execute_planned(
         &self,
         query: &UrQuery,
         plan: &UrPlan,
         layer: &mut LogicalLayer,
-    ) -> Result<(Relation, UrPlan), UrError> {
+    ) -> Result<(Relation, UrExecution), UrError> {
+        self.execute_shared(query, Arc::new(plan.clone()), layer)
+    }
+
+    /// [`UrPlanner::execute_planned`] over a shared plan, which the
+    /// execution report keeps without copying it.
+    pub fn execute_shared(
+        &self,
+        query: &UrQuery,
+        plan: Arc<UrPlan>,
+        layer: &mut LogicalLayer,
+    ) -> Result<(Relation, UrExecution), UrError> {
         let obs = layer.vps.obs().clone();
         let root = if obs.tracing() {
             obs.sink.begin(
@@ -405,18 +303,18 @@ impl UrPlanner {
         } else {
             SpanHandle::INERT
         };
-        self.run_plan(query, plan.clone(), layer, None, &obs, root)
+        self.run_plan(query, plan, layer, None, &obs, root)
     }
 
     fn run_plan(
         &self,
         query: &UrQuery,
-        mut plan: UrPlan,
+        plan: Arc<UrPlan>,
         layer: &mut LogicalLayer,
         resume: Option<&ResumeToken>,
         obs: &Obs,
         root: SpanHandle,
-    ) -> Result<(Relation, UrPlan), UrError> {
+    ) -> Result<(Relation, UrExecution), UrError> {
         // A resumed run inherits the original budget unless the query
         // supplies its own.
         let budget_spec = query.budget.clone().or_else(|| resume.map(|t| t.budget.clone()));
@@ -433,7 +331,8 @@ impl UrPlanner {
         let degradation_before = layer.vps.degradation();
         let repairs_before = layer.vps.repairs();
         let mut result: Option<Relation> = None;
-        for obj in &plan.objects {
+        let mut run = UrExecution::of(plan);
+        for obj in &run.plan.objects {
             let obj_span = if obs.tracing() {
                 let names: Vec<&str> = obj.alternatives.iter().map(String::as_str).collect();
                 obs.sink.advance(QUERY_TRACK, layer.vps.stats.total_network());
@@ -452,7 +351,7 @@ impl UrPlanner {
                 }
             }
             let rel = evaled?;
-            plan.object_results.push(rel.clone());
+            run.object_results.push(rel.clone());
             result = Some(match result {
                 None => rel,
                 Some(mut acc) => {
@@ -470,12 +369,12 @@ impl UrPlanner {
                 }
             });
         }
-        plan.degradation = layer.vps.degradation().since(&degradation_before);
-        plan.repairs = layer.vps.repairs().since(&repairs_before);
+        run.degradation = layer.vps.degradation().since(&degradation_before);
+        run.repairs = layer.vps.repairs().since(&repairs_before);
         if let Some(tracker) = tracker {
-            plan.budget = Some(tracker.snapshot());
+            run.budget = Some(tracker.snapshot());
             if tracker.exhausted().is_some() {
-                plan.resume = layer.vps.resume_token().map(|mut t| {
+                run.resume = layer.vps.resume_token().map(|mut t| {
                     // Spend is cumulative across resumptions, so the
                     // token always reports the query's true total cost.
                     if let Some(prev) = resume {
@@ -493,11 +392,11 @@ impl UrPlanner {
                 root,
                 vec![
                     ("tuples", result.len().to_string()),
-                    ("degraded", (!plan.degradation.is_clean()).to_string()),
+                    ("degraded", (!run.degradation.is_clean()).to_string()),
                 ],
             );
         }
-        Ok((result, plan))
+        Ok((result, run))
     }
 }
 

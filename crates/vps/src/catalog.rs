@@ -243,6 +243,11 @@ impl VpsCatalog {
         }
     }
 
+    /// The site index this session reads its schemas and handles from.
+    pub fn site_index(&self) -> &Arc<SiteIndex> {
+        &self.index
+    }
+
     /// Register a site. Its navigator is built on first invocation.
     pub fn add_site(&mut self, runtime: Arc<SiteRuntime>) {
         Arc::make_mut(&mut self.index).add(runtime);

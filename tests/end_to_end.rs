@@ -189,9 +189,9 @@ fn figure_renderings_are_consistent() {
     webbase_flogic::parser::parse_program(&nav.render_program())
         .expect("figure 4 output must re-parse");
     // Figure 5 + compatibility rules render.
-    let fig5 = wb.planner.hierarchy.render(&wb.ur_attributes());
+    let fig5 = wb.planner.hierarchy().render(&wb.ur_attributes());
     assert!(fig5.contains("UsedCarUR("));
-    assert!(wb.planner.rules.render().contains("Lease"));
+    assert!(wb.planner.rules().render().contains("Lease"));
 }
 
 #[test]

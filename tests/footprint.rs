@@ -1,16 +1,19 @@
 //! Per-query work follows the plan's footprint, not the corpus.
 //!
 //! A query session builds one site navigator per distinct site whose
-//! relation it actually runs — never one per mapped site. The count is
-//! a deterministic work counter ([`QueryOutcome::navigators_built`]),
+//! relation it actually runs — never one per mapped site — and planning
+//! enumerates compatible sets only over the alternatives the query can
+//! use. Both counts are deterministic work counters
+//! ([`QueryOutcome::navigators_built`], `UrPlanner::sets_enumerated`),
 //! so this battery stays stable in CI where wall time would not: a
-//! session that went back to materialising the whole corpus would fail
-//! here at 200 sites while still passing at 20.
+//! session or a planner that went back to walking the whole corpus
+//! would fail here at 200 sites while still passing at 20.
 
 mod common;
 
 use std::collections::BTreeSet;
 use webbase::{Corpus, Engine, EngineConfig, QueryOptions, QueryOutcome, SpanKind};
+use webbase_ur::query::parse_query;
 use webbase_webworld::generate::GenCorpus;
 use webbase_webworld::prelude::LatencyModel;
 
@@ -119,4 +122,37 @@ fn a_shared_session_does_no_more_work_than_an_isolated_one() {
         shared_requests <= iso_requests,
         "shared sent {shared_requests} requests, isolated {iso_requests}"
     );
+}
+
+/// Compatible sets the planner enumerates for each of the first
+/// `probes` sites' exemplar queries on a `sites`-site corpus.
+fn sets_enumerated_per_query(sites: usize, probes: usize) -> Vec<usize> {
+    let gen = GenCorpus::generate(common::seed(), sites);
+    let (_, stack) = webbase_bench::generated_stack(&gen, LatencyModel::zero());
+    gen.specs
+        .iter()
+        .take(probes)
+        .map(|spec| {
+            let q = parse_query(&spec.exemplar_query()).expect("exemplar parses");
+            stack.planner.sets_enumerated(&q, &stack.layer).expect("exemplar plans")
+        })
+        .collect()
+}
+
+#[test]
+fn planning_work_is_independent_of_corpus_size() {
+    // Every site is one alternative of one choice group, and an
+    // exemplar query names only its own site's attributes: the planner
+    // enumerates the empty set and that site alone, however many sites
+    // the hierarchy holds (a planner that enumerated the whole group
+    // would count 21, 201 and 1001).
+    let small = sets_enumerated_per_query(20, 4);
+    assert_eq!(small, vec![2; 4], "exemplar planning enumerated more than its own site");
+    for sites in [200, 1000] {
+        assert_eq!(
+            sets_enumerated_per_query(sites, 4),
+            small,
+            "planning work grew with the corpus at {sites} sites"
+        );
+    }
 }
