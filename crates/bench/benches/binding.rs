@@ -3,23 +3,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use webbase_bench::lan_webbase;
+use webbase_bench::lan_engine;
 use webbase_relational::binding::{propagate, BindingSet};
 use webbase_relational::eval::RelationProvider;
 use webbase_relational::{Expr, Schema};
 
 fn bench_binding(c: &mut Criterion) {
-    let wb = lan_webbase();
+    let layer = lan_engine().isolated_session();
     let mut group = c.benchmark_group("binding_propagation");
 
     // The paper's worked example: classifieds → {make}.
-    let def = wb.layer.relation("classifieds").expect("defined").def.clone();
+    let def = layer.relation("classifieds").expect("defined").def.clone();
     group.bench_function("classifieds_definition", |b| {
         b.iter(|| {
             let bs = propagate(
                 black_box(&def),
-                &|n| wb.layer.vps.bindings(n),
-                &|n| wb.layer.vps.schema(n),
+                &|n| layer.vps.bindings(n),
+                &|n| layer.vps.schema(n),
                 false,
             );
             black_box(bs.bindings().len())

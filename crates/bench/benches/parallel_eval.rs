@@ -5,18 +5,22 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use webbase::timing::{parallel_timing, serial_timing};
-use webbase_bench::lan_webbase;
+use webbase::timing::site_timings;
+use webbase_bench::lan_engine;
 
 fn bench_parallel(c: &mut Criterion) {
-    let wb = lan_webbase();
+    let engine = lan_engine();
     let mut group = c.benchmark_group("multi_site_eval");
     group.sample_size(10);
     group.bench_function("serial_10_sites", |b| {
-        b.iter(|| black_box(serial_timing(black_box(&wb), "ford", "escort").len()));
+        b.iter(|| {
+            black_box(site_timings(black_box(&engine), "ford", "escort", false, None).0.len())
+        });
     });
     group.bench_function("parallel_10_sites", |b| {
-        b.iter(|| black_box(parallel_timing(black_box(&wb), "ford", "escort").len()));
+        b.iter(|| {
+            black_box(site_timings(black_box(&engine), "ford", "escort", true, None).0.len())
+        });
     });
     group.finish();
 }

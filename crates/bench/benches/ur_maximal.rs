@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use webbase_bench::lan_webbase;
+use webbase_bench::lan_engine;
 use webbase_ur::compat::{example62_rules, CompatRule, CompatRules};
 use webbase_ur::hierarchy::{figure5, Alternative, ChoiceGroup, Hierarchy};
 use webbase_ur::maximal::maximal_objects;
@@ -51,7 +51,8 @@ fn bench_ur(c: &mut Criterion) {
     }
 
     // Query parse + plan over the real webbase (no execution).
-    let wb = lan_webbase();
+    let engine = lan_engine();
+    let layer = engine.isolated_session();
     let text = "UsedCarUR(make='jaguar', model, year >= 1993, price, bbprice, \
                 safety='good', condition='good') WHERE price < bbprice";
     group.bench_function("parse_query", |b| {
@@ -60,7 +61,7 @@ fn bench_ur(c: &mut Criterion) {
     let q = parse_query(text).expect("parses");
     group.bench_function("plan_jaguar_query", |b| {
         b.iter(|| {
-            black_box(wb.planner.plan(black_box(&q), &wb.layer).expect("plans").objects.len())
+            black_box(engine.planner().plan(black_box(&q), &layer).expect("plans").objects.len())
         });
     });
     group.finish();

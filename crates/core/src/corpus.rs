@@ -1,31 +1,91 @@
 //! Corpus registration: the one description of "a webbase's sites and
-//! layers" shared by every builder.
+//! layers" every build reads.
 //!
-//! Historically each stack — the 13-site car demo in
-//! [`crate::Webbase::build_on`] / [`crate::Engine::build_on`], the
-//! apartment example in `webbase-bench`, and now the generated corpora —
-//! hand-rolled the same loop: replay designer sessions, feed maps to a
-//! `VpsCatalog`, wrap logical relations, construct a planner. A
-//! [`Corpus`] captures the description once; [`Corpus::record_stack`]
-//! and [`crate::Engine::build_corpus`] are the two consumers (the
-//! single-owner `Webbase` and the shared `Engine` build paths).
+//! The 13-site car demo, the apartment example in `webbase-bench`, and
+//! the generated corpora all describe themselves as a [`Corpus`]: the
+//! designer sessions to replay (or the maps a designer shipped as
+//! F-logic fact text), the logical relations over them, and the UR
+//! hierarchy and compatibility rules. [`crate::Engine::build_corpus`] is
+//! the one consumer.
 
-use crate::webbase::{BuildReport, WebbaseError};
 use std::sync::Arc;
-use webbase_logical::{paper_schema, LogicalLayer, LogicalRelation};
+use webbase_logical::{paper_schema, LogicalRelation};
 use webbase_navigation::gen_sessions;
-use webbase_navigation::map::NavigationMap;
-use webbase_navigation::recorder::{DesignerAction, MapStats, Recorder};
+use webbase_navigation::persist::PersistError;
+use webbase_navigation::recorder::{DesignerAction, MapStats, RecordError};
 use webbase_navigation::sessions;
 use webbase_relational::prelude::Expr;
 use webbase_relational::Standardizer;
 use webbase_ur::compat::{example62_rules, CompatRules};
 use webbase_ur::hierarchy::{figure5, Alternative, ChoiceGroup, Hierarchy};
-use webbase_ur::plan::UrPlanner;
-use webbase_vps::VpsCatalog;
 use webbase_webworld::data::Dataset;
 use webbase_webworld::generate::GenCorpus;
-use webbase_webworld::prelude::SyntheticWeb;
+
+/// What building a webbase produced: per-site maps and their §7
+/// automation statistics.
+#[derive(Debug, Clone)]
+pub struct BuildReport {
+    pub sites: Vec<(String, MapStats)>,
+}
+
+impl BuildReport {
+    /// Render the §7 map-builder statistics table.
+    pub fn render(&self) -> String {
+        let mut out = String::from(
+            "Map builder statistics (objects / attributes / manual facts / manual % / auto-standardised)\n",
+        );
+        for (site, s) in &self.sites {
+            out.push_str(&format!(
+                "  {site:<24} {:>4} objects  {:>5} attrs  {:>3} manual  {:>5.1}%  {:>2} auto-std\n",
+                s.objects,
+                s.attributes,
+                s.manual_facts,
+                100.0 * s.manual_ratio(),
+                s.auto_standardized
+            ));
+        }
+        out
+    }
+}
+
+/// Top-level errors.
+#[derive(Debug)]
+pub enum WebbaseError {
+    Record(String, RecordError),
+    /// A shipped fact map (at `position` in [`Corpus::fact_maps`]) did
+    /// not parse as a navigation map.
+    FactMap {
+        position: usize,
+        error: PersistError,
+    },
+    /// A §7-style SELECT failed to parse or evaluate.
+    Select(String),
+    /// Pre-flight static analysis found E-level defects in the maps
+    /// being loaded; the report carries every finding.
+    Check(webbase_webcheck::Report),
+    /// The write-ahead journal could not be opened or read. (A *torn*
+    /// journal is not an error — recovery drops the torn records and
+    /// counts them — this is the file itself being unreachable.)
+    Journal(std::io::Error),
+}
+
+impl std::fmt::Display for WebbaseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WebbaseError::Record(site, e) => write!(f, "recording {site}: {e}"),
+            WebbaseError::FactMap { position, error } => {
+                write!(f, "loading fact map #{position}: {error}")
+            }
+            WebbaseError::Select(m) => write!(f, "{m}"),
+            WebbaseError::Check(r) => {
+                write!(f, "pre-flight check rejected the maps:\n{}", r.render())
+            }
+            WebbaseError::Journal(e) => write!(f, "journal: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for WebbaseError {}
 
 /// One site's registration: the designer session to replay and the
 /// attribute standardiser the recording uses.
@@ -42,18 +102,14 @@ pub struct Corpus {
     /// does; generated corpora carry their data inside the site specs).
     pub data: Option<Arc<Dataset>>,
     pub sites: Vec<CorpusSite>,
+    /// Maps the designer shipped as F-logic fact text (as produced by
+    /// `webbase_navigation::persist::render_facts`), loaded after the
+    /// recorded sites. Shipped maps are untrusted input: an E-level
+    /// finding in any of them rejects the build.
+    pub fact_maps: Vec<String>,
     pub relations: Vec<LogicalRelation>,
     pub hierarchy: Hierarchy,
     pub rules: CompatRules,
-}
-
-/// What [`Corpus::record_stack`] produces: recorded maps and the
-/// assembled layers, ready for queries or analysis.
-pub struct RecordedStack {
-    pub maps: Vec<NavigationMap>,
-    pub report: BuildReport,
-    pub layer: LogicalLayer,
-    pub planner: UrPlanner,
 }
 
 impl Corpus {
@@ -72,6 +128,7 @@ impl Corpus {
         Corpus {
             data: Some(data),
             sites,
+            fact_maps: Vec::new(),
             relations: paper_schema(),
             hierarchy: figure5(),
             rules: example62_rules(),
@@ -159,7 +216,14 @@ impl Corpus {
                 },
             ],
         };
-        Corpus { data: None, sites, relations, hierarchy, rules: CompatRules::default() }
+        Corpus {
+            data: None,
+            sites,
+            fact_maps: Vec::new(),
+            relations,
+            hierarchy,
+            rules: CompatRules::default(),
+        }
     }
 
     /// A generated corpus: one site, logical relation, and UR
@@ -188,6 +252,7 @@ impl Corpus {
         Corpus {
             data: None,
             sites,
+            fact_maps: Vec::new(),
             relations,
             hierarchy: Hierarchy {
                 ur_name: "GenUR".into(),
@@ -197,63 +262,45 @@ impl Corpus {
         }
     }
 
-    /// Replay every site's designer session against `web` and assemble
-    /// the three layers — the single-owner build loop shared by
-    /// [`crate::Webbase::build_on`], the bench demo stacks, and any
-    /// generated corpus.
-    pub fn record_stack(&self, web: &SyntheticWeb) -> Result<RecordedStack, WebbaseError> {
-        let mut catalog = VpsCatalog::new();
-        let mut maps = Vec::new();
-        let mut stats: Vec<(String, MapStats)> = Vec::new();
-        for site in &self.sites {
-            let mut recorder =
-                Recorder::with_standardizer(web.clone(), &site.host, site.standardizer.clone());
-            for action in &site.session {
-                recorder.apply(action).map_err(|e| WebbaseError::Record(site.host.clone(), e))?;
-            }
-            let (map, s) = recorder.finish();
-            stats.push((site.host.clone(), s));
-            maps.push(map.clone());
-            catalog.add_map(web.clone(), map);
-        }
-        let layer = LogicalLayer::new(catalog, self.relations.clone());
-        let planner = UrPlanner::new(self.hierarchy.clone(), self.rules.clone());
-        Ok(RecordedStack { maps, report: BuildReport { sites: stats }, layer, planner })
+    /// The same layers over maps the designer shipped instead of
+    /// sessions to replay — the "designer ships the maps" deployment
+    /// mode. The sessions are dropped; the maps load in the given order.
+    pub fn with_fact_maps(mut self, fact_maps: Vec<String>) -> Corpus {
+        self.sites.clear();
+        self.fact_maps = fact_maps;
+        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webbase_webworld::prelude::{standard_web, LatencyModel};
-
-    #[test]
-    fn paper_corpus_records_thirteen_sites() {
-        let data = Dataset::generate(5, 400);
-        let web = standard_web(data.clone(), LatencyModel::lan());
-        let stack = Corpus::paper(data).record_stack(&web).expect("records");
-        assert_eq!(stack.maps.len(), 13);
-        assert_eq!(stack.report.sites.len(), 13);
-    }
+    use crate::{Engine, EngineConfig, QueryOptions};
+    use webbase_webworld::prelude::LatencyModel;
 
     #[test]
     fn generated_corpus_records_and_plans() {
         use webbase_ur::query::parse_query;
         let gen = GenCorpus::generate(11, 4);
         let web = gen.web(LatencyModel::zero());
-        let corpus = Corpus::generated(&gen);
-        let mut stack = corpus.record_stack(&web).expect("records");
-        assert_eq!(stack.maps.len(), 4);
+        let engine = Engine::build_corpus(web, Corpus::generated(&gen), EngineConfig::default())
+            .expect("records");
+        assert_eq!(engine.sites().maps().count(), 4);
+        let session = engine.isolated_session();
         for spec in &gen.specs {
-            let q = parse_query(&spec.exemplar_query()).expect("query parses");
-            let plan = stack.planner.plan(&q, &stack.layer).expect("plans");
+            let text = spec.exemplar_query();
+            let q = parse_query(&text).expect("query parses");
+            let plan = engine.planner().plan(&q, &session).expect("plans");
             assert_eq!(
                 plan.objects.len(),
                 1,
                 "{}: disjoint attrs must cover via exactly one site",
                 spec.host
             );
-            let (result, _) = stack.planner.execute(&q, &mut stack.layer).expect("executes");
+            let result = engine
+                .query_isolated("t", &text, QueryOptions::default())
+                .expect("executes")
+                .relation;
             let sub = spec.needs_sub().then(|| spec.exemplar_sub().to_string());
             let oracle = spec.oracle(spec.exemplar_cat(), sub.as_deref());
             assert_eq!(result.len(), oracle.len(), "{}: result size != oracle", spec.host);

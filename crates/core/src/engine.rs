@@ -1,13 +1,12 @@
-//! The multi-query engine: one shared, thread-safe webbase serving
-//! many concurrent UR queries.
+//! The engine: the webbase's one front door, a shared, thread-safe
+//! three-layer stack serving many concurrent UR queries.
 //!
-//! [`crate::Webbase`] is the single-owner stack: one catalog, one
-//! logical layer, `&mut self` per query. The [`Engine`] turns the same
-//! three layers into a server runtime. It is built **once** — sessions
-//! replayed, maps recorded, every map compiled to Transaction F-logic
-//! and vetted by webcheck exactly once — and then shared (`Engine` is
-//! `Clone + Send + Sync`, an `Arc` inside) by any number of query
-//! threads.
+//! It is built **once** — sessions replayed (or shipped maps loaded),
+//! every map compiled to Transaction F-logic and vetted by webcheck
+//! exactly once — and then shared (`Engine` is `Clone + Send + Sync`,
+//! an `Arc` inside) by any number of query threads. The single-owner
+//! cost model is one of its session kinds: [`Engine::isolated_session`]
+//! shares nothing mutable, and [`Engine::query_isolated`] runs on it.
 //!
 //! What is shared engine-wide and what stays per query is the whole
 //! design:
@@ -43,6 +42,7 @@ use std::time::{Duration, Instant};
 use webbase_logical::{LogicalLayer, LogicalRelation, Obs, QueryObservation};
 use webbase_navigation::drift::events_from_repairs;
 use webbase_navigation::map::NodeId;
+use webbase_navigation::persist::parse_map;
 use webbase_navigation::recorder::{MapStats, Recorder};
 use webbase_navigation::store::ReadSet;
 use webbase_navigation::{
@@ -61,7 +61,7 @@ use webbase_vps::{Metric, MetricsRegistry, MetricsSnapshot};
 use webbase_webworld::prelude::*;
 use webbase_webworld::request::Request;
 
-use crate::webbase::{BuildReport, WebbaseError};
+use crate::corpus::{BuildReport, Corpus, WebbaseError};
 
 /// How the engine is shared and scheduled. [`EngineConfig::default`]
 /// is the server default: default fetch policy, unbounded page store,
@@ -575,8 +575,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build the paper's used-car webbase as a shared engine (the
-    /// server-side analogue of [`crate::Webbase::build_demo`]).
+    /// Build the paper's used-car webbase (Example 2.1): generate the
+    /// synthetic market, stand up the thirteen sites, replay every
+    /// designer session, derive handles, and wire the three layers.
     pub fn build_demo(seed: u64, n_ads: usize, latency: LatencyModel) -> Engine {
         let data = Dataset::generate(seed, n_ads);
         let web = standard_web(data.clone(), latency);
@@ -593,37 +594,67 @@ impl Engine {
         data: Arc<Dataset>,
         config: EngineConfig,
     ) -> Result<Engine, WebbaseError> {
-        Engine::build_corpus(web, crate::corpus::Corpus::paper(data), config)
+        Engine::build_corpus(web, Corpus::paper(data), config)
     }
 
-    /// Build over any [`crate::Corpus`] — the paper's car demo, the
-    /// apartment example, or a generated corpus. The corpus describes
-    /// the sites (sessions + standardisers) and the layers above them;
-    /// this path records, analyses, and compiles each site exactly
-    /// once, then assembles the shared engine.
+    /// Build over any [`Corpus`] — the paper's car demo, the apartment
+    /// example, or a generated corpus. The corpus describes the sites
+    /// (sessions + standardisers, or shipped fact maps) and the layers
+    /// above them; this path records or parses, analyses, and compiles
+    /// each site exactly once, then assembles the shared engine.
     pub fn build_corpus(
         web: SyntheticWeb,
-        corpus: crate::corpus::Corpus,
+        corpus: Corpus,
         config: EngineConfig,
     ) -> Result<Engine, WebbaseError> {
-        let mut sites = SiteIndex::new();
-        let mut stats: Vec<(String, MapStats)> = Vec::new();
-        let mut preflight = webbase_webcheck::Report::new();
+        let mut maps = Vec::with_capacity(corpus.sites.len() + corpus.fact_maps.len());
         for site in &corpus.sites {
             let mut recorder =
                 Recorder::with_standardizer(web.clone(), &site.host, site.standardizer.clone());
             for action in &site.session {
                 recorder.apply(action).map_err(|e| WebbaseError::Record(site.host.clone(), e))?;
             }
-            let (map, s) = recorder.finish();
-            // The single analysis entry point: lint + program safety +
-            // the abstract interpreter, once per map per build, with
-            // compilation and handle derivation. The derived semantics
-            // ride along in the shared runtime.
-            let (runtime, report) = SiteRuntime::analyze(web.clone(), map);
+            maps.push(recorder.finish());
+        }
+        let recorded = maps.len();
+        for (position, text) in corpus.fact_maps.iter().enumerate() {
+            let map = parse_map(text).map_err(|error| WebbaseError::FactMap { position, error })?;
+            // Mapping-time statistics are unknown after the fact.
+            let stats = MapStats {
+                objects: map.object_count(),
+                attributes: map.attribute_count(),
+                ..MapStats::default()
+            };
+            maps.push((map, stats));
+        }
+        // The single analysis entry point: lint + program safety + the
+        // abstract interpreter, once per map per build. The derived
+        // semantics ride along in the shared runtime.
+        let analysed: Vec<_> = maps
+            .into_iter()
+            .map(|(map, stats)| {
+                let (report, semantics) = webbase_webcheck::analyze_full(&map);
+                (map, stats, report, semantics)
+            })
+            .collect();
+        // Shipped maps are untrusted input: an E-level finding in any of
+        // them rejects the build *before* compilation and handle
+        // derivation ever see the map. A recorded session, by contrast,
+        // is checked but always loaded.
+        let mut shipped = webbase_webcheck::Report::new();
+        for (_, _, report, _) in &analysed[recorded..] {
+            shipped.merge(report.clone());
+        }
+        if shipped.has_errors() {
+            return Err(WebbaseError::Check(shipped));
+        }
+        let mut sites = SiteIndex::new();
+        let mut stats: Vec<(String, MapStats)> = Vec::with_capacity(analysed.len());
+        let mut preflight = webbase_webcheck::Report::new();
+        for (map, s, report, semantics) in analysed {
             preflight.merge(report);
-            stats.push((site.host.clone(), s));
-            sites.add(Arc::new(runtime));
+            stats.push((map.site.clone(), s));
+            sites.add(Arc::new(SiteRuntime::compile(web.clone(), map, semantics)));
         }
         let sites = Arc::new(sites);
         let relations: Arc<[LogicalRelation]> = corpus.relations.into();
@@ -764,10 +795,13 @@ impl Engine {
     }
 
     /// A session that shares *nothing* mutable: private page store, no
-    /// memo, no pools — the pre-engine single-owner cost model. The
-    /// load generator's serial baseline and the concurrency tests'
-    /// byte-identity oracle run here.
-    fn isolated_session(&self) -> LogicalLayer {
+    /// memo, no pools — the single-owner cost model. Its state (browser
+    /// sessions, circuit breakers, caches, healing state) persists
+    /// across every query its holder runs on it, through
+    /// [`Engine::planner`] or [`crate::select`]. [`Engine::query_isolated`],
+    /// the load generator's serial baseline and the concurrency tests'
+    /// byte-identity oracle each run on a fresh one.
+    pub fn isolated_session(&self) -> LogicalLayer {
         self.session_with(PageStore::new(), None, None)
     }
 
@@ -1682,6 +1716,18 @@ impl Engine {
         &self.inner.memo
     }
 
+    /// The UR planner (hierarchy and compatibility rules). Its plans
+    /// over any session equal the engine's own.
+    pub fn planner(&self) -> &UrPlanner {
+        &self.inner.planner
+    }
+
+    /// Every site's shared runtime, and through it the recorded maps
+    /// ([`SiteIndex::maps`], [`SiteIndex::map_for`]).
+    pub fn sites(&self) -> &SiteIndex {
+        &self.inner.sites
+    }
+
     /// The §7 map-builder statistics from the build.
     pub fn report(&self) -> &BuildReport {
         &self.inner.report
@@ -1762,7 +1808,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Webbase;
 
     const JAGUAR: &str = "UsedCarUR(make='jaguar', model, year >= 1993, price, bbprice, \
                           safety='good', condition='good') WHERE price < bbprice";
@@ -1774,13 +1819,115 @@ mod tests {
     }
 
     #[test]
-    fn engine_answers_match_the_single_owner_stack() {
+    fn builds_with_all_sites_mapped() {
+        let engine = Engine::build_demo(5, 600, LatencyModel::lan());
+        assert_eq!(engine.sites().maps().count(), 13);
+        assert_eq!(engine.report().sites.len(), 13);
+        assert!(engine.report().render().contains("www.newsday.com"));
+        assert!(engine.sites().map_for("www.kbb.com").is_some());
+        assert!(engine.sites().map_for("www.nope.com").is_none());
+        // UR attribute picker covers the domain vocabulary.
+        let attrs = engine.ur_attributes();
+        assert!(attrs.len() >= 12, "{attrs:?}");
+    }
+
+    #[test]
+    fn the_paper_query_runs_alike_shared_and_isolated() {
         let engine = Engine::build_demo(5, 400, LatencyModel::lan());
-        let mut wb = Webbase::build_demo(5, 400, LatencyModel::lan());
-        let (expected, _) = wb.query(JAGUAR).expect("webbase answers");
+        let expected =
+            engine.query_isolated("t0", JAGUAR, QueryOptions::default()).expect("isolated answers");
         let out = engine.query("t0", JAGUAR, QueryOptions::default()).expect("engine answers");
-        assert_eq!(out.relation, expected, "shared engine changed the answer");
+        assert_eq!(out.relation, expected.relation, "the shared session changed the answer");
         assert!(!out.plan.objects.is_empty());
+        // Result sanity: every row is a 1993+ jaguar priced under book.
+        let result = &out.relation;
+        let year = result.schema().index_of(&"year".into()).expect("year");
+        let price = result.schema().index_of(&"price".into()).expect("price");
+        let bb = result.schema().index_of(&"bbprice".into()).expect("bbprice");
+        for t in result.tuples() {
+            assert!(t.get(year).as_int().expect("year int") >= 1993);
+            assert!(t.get(price).as_int().expect("price") < t.get(bb).as_int().expect("bb"));
+        }
+    }
+
+    #[test]
+    fn query_errors_are_reported() {
+        let engine = Engine::build_demo(5, 400, LatencyModel::lan());
+        let run = |text| engine.query_isolated("t", text, QueryOptions::default());
+        assert!(matches!(run("Used CarUR("), Err(EngineError::Query(_))));
+        assert!(matches!(
+            run("UsedCarUR(make='ford', bbprice)"),
+            Err(EngineError::Plan(UrError::InsufficientBindings(_)))
+        ));
+    }
+
+    /// The engine's maps as the designer would ship them.
+    fn exported(engine: &Engine) -> Vec<String> {
+        engine.sites().maps().map(webbase_navigation::persist::render_facts).collect()
+    }
+
+    fn shipped(engine: &Engine, fact_maps: Vec<String>) -> Result<Engine, WebbaseError> {
+        let data = engine.data().expect("the demo has a dataset").clone();
+        let corpus = Corpus::paper(data).with_fact_maps(fact_maps);
+        Engine::build_corpus(engine.web().clone(), corpus, EngineConfig::default())
+    }
+
+    #[test]
+    fn rebuild_from_exported_fact_maps() {
+        let original = Engine::build_demo(5, 600, LatencyModel::lan());
+        let maps = exported(&original);
+        assert_eq!(maps.len(), 13);
+        let reloaded = shipped(&original, maps).expect("maps reload");
+        let q = "UsedCarUR(make='honda', model='civic', year, price)";
+        let a = original.query_isolated("t", q, QueryOptions::default()).expect("original answers");
+        let b = reloaded.query_isolated("t", q, QueryOptions::default()).expect("reloaded answers");
+        assert_eq!(a.relation, b.relation, "fact-map round trip changed the answers");
+    }
+
+    #[test]
+    fn fact_map_loading_rejects_broken_maps() {
+        use webbase_navigation::map::NodeKind;
+        let original = Engine::build_demo(5, 600, LatencyModel::lan());
+        let mut maps = exported(&original);
+        // Corrupt one shipped map: sever every edge into its data nodes,
+        // leaving registered relations unreachable (E101).
+        let idx = original
+            .sites()
+            .maps()
+            .position(|m| m.site == "www.newsday.com")
+            .expect("newsday is mapped");
+        let mut broken = original.sites().map_for("www.newsday.com").expect("mapped").clone();
+        let data_nodes: Vec<usize> = broken
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| matches!(n.kind, NodeKind::Data(_)))
+            .map(|(i, _)| i)
+            .collect();
+        broken.edges.retain(|e| !data_nodes.contains(&e.to));
+        maps[idx] = webbase_navigation::persist::render_facts(&broken);
+        match shipped(&original, maps) {
+            Err(WebbaseError::Check(report)) => {
+                assert!(report.has_errors());
+                assert!(!report.with_code("E101").is_empty(), "{}", report.render());
+            }
+            Err(other) => panic!("expected Check, got {other}"),
+            Ok(_) => panic!("an E-level map must be rejected at load time"),
+        }
+    }
+
+    #[test]
+    fn malformed_fact_text_is_reported_with_its_position() {
+        let original = Engine::build_demo(5, 400, LatencyModel::lan());
+        let mut maps = exported(&original);
+        maps[3] = "site('www.broken.com'). node(0, page".to_string();
+        match shipped(&original, maps) {
+            Err(err @ WebbaseError::FactMap { position: 3, .. }) => {
+                assert!(err.to_string().starts_with("loading fact map #3: "), "{err}");
+            }
+            Err(other) => panic!("expected FactMap at position 3, got {other}"),
+            Ok(_) => panic!("unparseable fact text must not load"),
+        }
     }
 
     #[test]

@@ -13,40 +13,42 @@
 //! | logical schema | `webbase-logical` + `webbase-relational` | **site independence** — algebra over VPS relations with §5 binding propagation and binding-aware join ordering |
 //! | external schema | `webbase-ur` | **ad hoc querying** — the structured universal relation: concept hierarchy, compatibility rules, maximal objects |
 //!
-//! [`Webbase`] assembles all of it; [`Webbase::build_demo`] constructs
-//! the paper's used-car webbase (Example 2.1) over the simulated Web:
+//! [`Engine`] assembles all of it and is the one front door;
+//! [`Engine::build_demo`] constructs the paper's used-car webbase
+//! (Example 2.1) over the simulated Web:
 //!
 //! ```no_run
-//! use webbase::Webbase;
+//! use webbase::{Engine, LatencyModel, QueryOptions};
 //!
-//! let mut wb = Webbase::build_demo(42, 600, webbase::LatencyModel::lan());
-//! let (result, _plan) = wb
+//! let engine = Engine::build_demo(42, 600, LatencyModel::lan());
+//! let out = engine
 //!     .query(
+//!         "me",
 //!         "UsedCarUR(make='jaguar', model, year >= 1993, price, bbprice, \
 //!          safety='good', condition='good') WHERE price < bbprice",
+//!         QueryOptions::default(),
 //!     )
 //!     .expect("the §1 query runs");
-//! println!("{result}");
+//! println!("{}", out.relation);
 //! ```
 
 pub mod corpus;
 pub mod engine;
 pub mod layers;
 pub mod server;
+pub mod session;
 pub mod timing;
-pub mod webbase;
 
-pub use crate::corpus::{Corpus, CorpusSite, RecordedStack};
+pub use crate::corpus::{BuildReport, Corpus, CorpusSite, WebbaseError};
 pub use crate::engine::{
     AdmissionConfig, Engine, EngineConfig, EngineError, EngineStats, FreshnessReport, Lifecycle,
     PlanSemantics, QueryFailure, QueryOptions, QueryOutcome, RefreshReport,
 };
-pub use crate::server::{serve_channel, serve_connection, ServerConfig, SessionEnd, MAX_LINE};
-pub use crate::webbase::{check_stack, BuildReport, Webbase, WebbaseError};
-pub use timing::{
-    merged_degradation, merged_metrics, merged_repairs, parallel_timing, serial_timing, SiteTiming,
-    TimingComparison,
+pub use crate::server::{
+    read_request_line, serve_channel, serve_connection, ServerConfig, SessionEnd, MAX_LINE,
 };
+pub use crate::session::{check_stack, select};
+pub use timing::{merged_degradation, merged_repairs, site_timings, SiteTiming, TimingComparison};
 pub use webbase_logical::{
     Metric, MetricsRegistry, MetricsSnapshot, Obs, QueryObservation, QueryTrace, Span, SpanKind,
     TraceSink, METRICS,

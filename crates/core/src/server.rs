@@ -58,6 +58,36 @@ use webbase_navigation::{BudgetTracker, CancelToken, DriftOrigin, QueryBudget};
 /// Longer lines answer `ERR 413` and are discarded; the session lives.
 pub const MAX_LINE: usize = 8192;
 
+/// Read one request line into `buf` (cleared first), keeping at most
+/// `MAX_LINE + 1` bytes of it: the rest of an overlong line is consumed
+/// and discarded, so the line still answers `ERR 413`, but a client
+/// that never sends a newline cannot grow the buffer without bound.
+/// Returns the bytes consumed from `reader`, newline included (0 at
+/// EOF). Both serve loops and the `webbased` socket reader use it.
+pub fn read_request_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<usize> {
+    buf.clear();
+    let mut consumed = 0;
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(consumed);
+        }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(available.len(), |i| i + 1);
+        let room = (MAX_LINE + 1).saturating_sub(buf.len());
+        buf.extend_from_slice(&available[..take.min(room)]);
+        reader.consume(take);
+        consumed += take;
+        if newline.is_some() {
+            return Ok(consumed);
+        }
+    }
+}
+
 /// Per-connection defaults (a connection can change all of these with
 /// `TENANT` / `TRACE` / `BUDGET` commands).
 #[derive(Debug, Clone)]
@@ -122,8 +152,7 @@ pub fn serve_connection<R: BufRead, W: Write>(
     let mut session = Session::new(config, None);
     let mut buf = Vec::new();
     loop {
-        buf.clear();
-        if reader.read_until(b'\n', &mut buf)? == 0 {
+        if read_request_line(&mut reader, &mut buf)? == 0 {
             writer.flush()?;
             return Ok(SessionEnd::Eof);
         }
@@ -459,6 +488,28 @@ mod tests {
         assert!(lines[2].starts_with("ERR 400 "), "{reply}");
         assert_eq!(lines[3], "OK pong");
         assert_eq!(lines[4], "OK bye");
+    }
+
+    #[test]
+    fn an_endless_line_is_capped_and_the_session_still_answers() {
+        let mut script = vec![b'Q'; 64 * MAX_LINE];
+        script.extend_from_slice(b"\nPING\n");
+        let mut reader = script.as_slice();
+        let mut buf = Vec::new();
+        let consumed = read_request_line(&mut reader, &mut buf).expect("in-memory read");
+        assert_eq!(consumed, 64 * MAX_LINE + 1, "the whole line is consumed");
+        assert!(buf.len() <= MAX_LINE + 1, "kept {} bytes", buf.len());
+        assert_eq!(read_request_line(&mut reader, &mut buf).expect("read"), 5);
+        assert_eq!(buf, b"PING\n");
+
+        let engine = Engine::build_demo(5, 400, LatencyModel::lan());
+        let mut out = Vec::new();
+        serve_connection(&engine, &ServerConfig::default(), script.as_slice(), &mut out)
+            .expect("in-memory serve");
+        let reply = String::from_utf8(out).expect("utf8 reply");
+        let lines: Vec<&str> = reply.lines().collect();
+        assert!(lines[0].starts_with("ERR 413 "), "{reply}");
+        assert_eq!(lines[1], "OK pong");
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl Obs {
     }
 }
 
-/// What `Webbase::query_traced` hands back next to the answer: the
+/// What a traced query hands back next to the answer: the
 /// finished span tree and a final metrics snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct QueryObservation {

@@ -176,7 +176,9 @@ fn agree(planner: &UrPlanner, layer: &LogicalLayer, texts: &[String]) -> usize {
 fn car_layer() -> LogicalLayer {
     let data = Dataset::generate(42, 600);
     let web = webbase_webworld::prelude::standard_web(data.clone(), LatencyModel::lan());
-    webbase::Corpus::paper(data).record_stack(&web).expect("car stack records").layer
+    let config = webbase::EngineConfig::default();
+    let engine = webbase::Engine::build_corpus(web, webbase::Corpus::paper(data), config);
+    engine.expect("car stack records").isolated_session()
 }
 
 /// Queries over `attrs` (every one- and two-attribute combination,
@@ -226,10 +228,11 @@ fn figure5_plans_match_the_reference_with_and_without_rules() {
 
 #[test]
 fn apartment_plans_match_the_reference() {
-    let (_, _, layer, planner) = webbase_bench::apartment_stack(7);
-    let attrs = planner.ur_attributes(&layer);
+    let engine = webbase_bench::apartment_engine(7);
+    let layer = engine.isolated_session();
+    let attrs = engine.planner().ur_attributes(&layer);
     let texts = texts_over("AptUR", &attrs, &["borough='brooklyn'", "bedrooms=2"]);
-    assert!(agree(&planner, &layer, &texts) > 0);
+    assert!(agree(engine.planner(), &layer, &texts) > 0);
 }
 
 fn generated_texts(corpus: &GenCorpus) -> Vec<String> {
@@ -260,9 +263,9 @@ fn generated_texts(corpus: &GenCorpus) -> Vec<String> {
 fn generated_corpus_plans_match_the_reference_at_20_and_200_sites() {
     for sites in [20, 200] {
         let corpus = GenCorpus::generate(11, sites);
-        let (_, stack) = webbase_bench::generated_stack(&corpus, LatencyModel::zero());
+        let engine = webbase_bench::generated_engine(&corpus, LatencyModel::zero());
         let texts = generated_texts(&corpus);
-        let planned = agree(&stack.planner, &stack.layer, &texts);
+        let planned = agree(engine.planner(), &engine.isolated_session(), &texts);
         assert!(planned >= sites, "{sites} sites: only {planned} texts planned");
     }
 }

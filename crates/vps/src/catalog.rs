@@ -94,8 +94,20 @@ impl SiteRuntime {
         map: NavigationMap,
     ) -> (SiteRuntime, webbase_webcheck::Report) {
         let (report, semantics) = webbase_webcheck::analyze_full(&map);
+        (SiteRuntime::compile(web, map, semantics), report)
+    }
+
+    /// Compile `map` and derive its handles around a semantic analysis
+    /// the caller already ran — the second half of
+    /// [`SiteRuntime::analyze`], for callers that vet the findings
+    /// before paying for compilation.
+    pub fn compile(
+        web: SyntheticWeb,
+        map: NavigationMap,
+        semantics: webbase_webcheck::SiteSemantics,
+    ) -> SiteRuntime {
         let handles = derive_handles(&map);
-        (SiteRuntime::new(NavRuntime::compile(web, map), handles, Arc::new(semantics)), report)
+        SiteRuntime::new(NavRuntime::compile(web, map), handles, Arc::new(semantics))
     }
 
     /// The host this site runs on.
@@ -148,6 +160,21 @@ impl SiteIndex {
         self.sites.push(runtime);
     }
 
+    /// The runtime of the site on `host`, if it is mapped.
+    pub fn site(&self, host: &str) -> Option<&Arc<SiteRuntime>> {
+        self.sites.iter().find(|s| s.host() == host)
+    }
+
+    /// Every site's recorded map, in registration order.
+    pub fn maps(&self) -> impl Iterator<Item = &NavigationMap> {
+        self.sites.iter().map(|s| &s.nav.map)
+    }
+
+    /// The recorded map of the site on `host`, if it is mapped.
+    pub fn map_for(&self, host: &str) -> Option<&NavigationMap> {
+        self.site(host).map(|s| &s.nav.map)
+    }
+
     /// Relation names in registration order.
     fn order(&self) -> impl Iterator<Item = &str> {
         self.sites.iter().flat_map(|s| s.nav.compiled().relations.iter().map(|r| r.name.as_str()))
@@ -186,10 +213,6 @@ pub struct VpsCatalog {
     /// Relation invocations that ran to completion under the budget —
     /// the resume token's navigation positions.
     positions: Vec<NavPosition>,
-    /// The pre-flight static analysis of every map loaded through
-    /// [`VpsCatalog::add_map`] — quarantine/healing reports can cite the
-    /// load-time diagnostic alongside the runtime repair.
-    preflight: webbase_webcheck::Report,
     /// Observability handle shared with every navigator (and through
     /// them, every browser). Disabled by default.
     obs: Obs,
@@ -235,7 +258,6 @@ impl VpsCatalog {
             stats: VpsStats::default(),
             budget: None,
             positions: Vec::new(),
-            preflight: webbase_webcheck::Report::new(),
             obs: Obs::none(),
             memo: None,
             reads: None,
@@ -254,12 +276,10 @@ impl VpsCatalog {
     }
 
     /// Add every relation of a recorded map, analysing, compiling, and
-    /// deriving it ([`SiteRuntime::analyze`]); the findings accumulate in
-    /// [`VpsCatalog::preflight`].
+    /// deriving it ([`SiteRuntime::analyze`]). A recorded map is always
+    /// loaded; callers that act on the findings analyse first.
     pub fn add_map(&mut self, web: SyntheticWeb, map: NavigationMap) {
-        let (runtime, report) = SiteRuntime::analyze(web, map);
-        self.preflight.merge(report);
-        self.add_site(Arc::new(runtime));
+        self.add_site(Arc::new(SiteRuntime::analyze(web, map).0));
     }
 
     /// [`VpsCatalog::add_site`] from separately held artifacts —
@@ -355,22 +375,10 @@ impl VpsCatalog {
             .clone()
     }
 
-    /// The accumulated pre-flight diagnostics of every map loaded so
-    /// far.
-    pub fn preflight(&self) -> &webbase_webcheck::Report {
-        &self.preflight
-    }
-
-    /// Pre-flight findings for one site, for citation next to that
-    /// site's quarantine/healing entries.
-    pub fn preflight_for(&self, site: &str) -> Vec<&webbase_webcheck::Diagnostic> {
-        self.preflight.for_site(site)
-    }
-
     /// The semantic analysis of one loaded site (fetch-cost intervals
     /// and static read-sets), by host.
     pub fn semantics_for(&self, host: &str) -> Option<&Arc<webbase_webcheck::SiteSemantics>> {
-        self.index.sites.iter().find(|s| s.host() == host).map(|s| &s.semantics)
+        self.index.site(host).map(|s| &s.semantics)
     }
 
     fn site_of(&self, relation: &str) -> Option<&SiteRuntime> {

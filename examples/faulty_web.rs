@@ -3,7 +3,7 @@
 //! report saying which sites misbehaved (the README's fault-injection
 //! example, runnable).
 
-use webbase::{LatencyModel, Webbase};
+use webbase::{Engine, EngineConfig, LatencyModel, QueryOptions};
 use webbase_webworld::faults::FlakySite;
 use webbase_webworld::prelude::*;
 
@@ -13,13 +13,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let web = standard_web_faulty(data.clone(), LatencyModel::lan(), |_host, site| {
         Box::new(FlakySite::new(site, 7)) as Box<dyn webbase_webworld::server::Site>
     });
-    let mut wb = Webbase::build_on(web, data)?;
-    let (result, plan) = wb.query(
+    let engine = Engine::build_on(web, data, EngineConfig::default())?;
+    let out = engine.query(
+        "me",
         "UsedCarUR(make='jaguar', model, year >= 1993, price, bbprice, \
          safety='good', condition='good') WHERE price < bbprice",
+        QueryOptions::default(),
     )?;
-    assert!(!result.is_empty()); // retries recovered every answer
-    println!("{}", result.to_table());
-    println!("Site degradation:\n{}", plan.degradation.render());
+    assert!(!out.relation.is_empty()); // retries recovered every answer
+    println!("{}", out.relation.to_table());
+    println!("Site degradation:\n{}", out.plan.degradation.render());
     Ok(())
 }

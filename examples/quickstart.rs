@@ -11,24 +11,28 @@
 //! 1993 or later model, has good safety ratings, and its selling price
 //! is less than its Blue Book value."*
 
-use webbase::{LatencyModel, Webbase};
+use webbase::{Engine, LatencyModel};
+use webbase_ur::query::parse_query;
 
 fn main() {
     println!("Building the used-car webbase (simulated Web, 13 sites)…\n");
-    let mut wb = Webbase::build_demo(42, 600, LatencyModel::lan());
-    println!("{}", wb.report.render());
+    let engine = Engine::build_demo(42, 600, LatencyModel::lan());
+    println!("{}", engine.report().render());
 
     let query = "UsedCarUR(make='jaguar', model, year >= 1993, price, bbprice, \
                  safety='good', condition='good') WHERE price < bbprice";
     println!("Query:\n  {query}\n");
 
-    let plan = wb.explain(query).expect("query plans");
+    let plan = engine.explain(query).expect("query plans");
     println!("{}", plan.render());
 
-    let (result, _) = wb.query(query).expect("query runs");
+    // A single-owner session: its statistics accumulate across what it runs.
+    let mut session = engine.isolated_session();
+    let q = parse_query(query).expect("query parses");
+    let (result, _) = engine.planner().execute(&q, &mut session).expect("query runs");
     println!("Answers ({} rows):\n{}", result.len(), result.to_table());
 
-    let stats = &wb.layer.vps.stats;
+    let stats = &session.vps.stats;
     println!(
         "Pages fetched while answering: {} (simulated network {:?}, cpu {:?})",
         stats.total_pages(),

@@ -6,17 +6,17 @@
 //! cargo run --example used_car_shopping
 //! ```
 
-use webbase::{LatencyModel, Webbase};
+use webbase::{Engine, LatencyModel, QueryOptions};
 
-fn run(wb: &mut Webbase, title: &str, query: &str) {
+fn run(engine: &Engine, title: &str, query: &str) {
     println!("── {title}\n   {query}\n");
-    match wb.query(query) {
-        Ok((result, plan)) => {
-            for obj in &plan.objects {
+    match engine.query("shopper", query, QueryOptions::default()) {
+        Ok(out) => {
+            for obj in &out.plan.objects {
                 let names: Vec<&str> = obj.alternatives.iter().map(String::as_str).collect();
                 println!("   object: {}", names.join(" ⋈ "));
             }
-            println!("\n{}", indent(&result.to_table()));
+            println!("\n{}", indent(&out.relation.to_table()));
         }
         Err(e) => println!("   ✗ {e}\n"),
     }
@@ -27,26 +27,26 @@ fn indent(s: &str) -> String {
 }
 
 fn main() {
-    let mut wb = Webbase::build_demo(42, 600, LatencyModel::lan());
-    println!("UR attributes: {}\n", wb.ur_attributes().join(", "));
+    let engine = Engine::build_demo(42, 600, LatencyModel::lan());
+    println!("UR attributes: {}\n", engine.ur_attributes().join(", "));
 
-    run(&mut wb, "Cheap Fords anywhere", "UsedCarUR(make='ford', model, year, price < 6000)");
+    run(&engine, "Cheap Fords anywhere", "UsedCarUR(make='ford', model, year, price < 6000)");
 
     run(
-        &mut wb,
+        &engine,
         "Safety ratings for a specific model",
         "UsedCarUR(make='honda', model='accord', year >= 1995, safety)",
     );
 
     run(
-        &mut wb,
+        &engine,
         "Jaguars under blue book (the paper's §1 query)",
         "UsedCarUR(make='jaguar', model, year >= 1993, price, bbprice, \
          safety='good', condition='good') WHERE price < bbprice",
     );
 
     run(
-        &mut wb,
+        &engine,
         "Monthly-payment shopping (§6.2): a computed column over price, rate, term",
         "UsedCarUR(make='jaguar', model, year >= 1994, price, rate, cost, \
          zip='10001', duration=36, condition='good', \
@@ -57,7 +57,7 @@ fn main() {
     // A query that cannot be answered without more bindings: the planner
     // explains rather than silently returning nothing.
     run(
-        &mut wb,
+        &engine,
         "Blue book without condition (refused: kellys insists on condition)",
         "UsedCarUR(make='ford', model='escort', bbprice)",
     );

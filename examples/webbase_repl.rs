@@ -19,18 +19,22 @@
 //! ```
 
 use std::io::{BufRead, Write};
-use webbase::{LatencyModel, Webbase};
+use webbase::{Engine, LatencyModel};
 use webbase_ur::maximal::{maximal_objects, render_maximal};
+use webbase_ur::query::parse_query;
 
 fn main() {
     println!("building the used-car webbase…");
-    let mut wb = Webbase::build_demo(42, 600, LatencyModel::lan());
+    let engine = Engine::build_demo(42, 600, LatencyModel::lan());
+    let planner = engine.planner();
+    // One single-owner session for the whole shell: `.stats` accumulates.
+    let mut session = engine.isolated_session();
     println!(
         "ready. {} sites mapped, {} UR attributes. Try:\n  \
          UsedCarUR(make='ford', model, year, price < 6000)\n  \
          (.attrs, .hierarchy, .objects, .explain <q>, .stats, .quit)\n",
-        wb.maps.len(),
-        wb.ur_attributes().len()
+        engine.sites().maps().count(),
+        engine.ur_attributes().len()
     );
 
     let stdin = std::io::stdin();
@@ -52,16 +56,16 @@ fn main() {
         }
         match line {
             ".quit" | ".exit" => break,
-            ".attrs" => println!("{}\n", wb.ur_attributes().join(", ")),
+            ".attrs" => println!("{}\n", engine.ur_attributes().join(", ")),
             ".hierarchy" => {
-                println!("{}", wb.planner.hierarchy().render(&wb.ur_attributes()));
+                println!("{}", planner.hierarchy().render(&engine.ur_attributes()));
             }
             ".objects" => {
-                let objects = maximal_objects(wb.planner.hierarchy(), wb.planner.rules());
-                println!("{}{}", wb.planner.rules().render(), render_maximal(&objects));
+                let objects = maximal_objects(planner.hierarchy(), planner.rules());
+                println!("{}{}", planner.rules().render(), render_maximal(&objects));
             }
             ".stats" => {
-                let s = &wb.layer.vps.stats;
+                let s = &session.vps.stats;
                 println!(
                     "pages fetched: {}   simulated network: {:?}   interpreter cpu: {:?}\n",
                     s.total_pages(),
@@ -71,12 +75,15 @@ fn main() {
             }
             _ if line.starts_with(".explain") => {
                 let q = line.trim_start_matches(".explain").trim();
-                match wb.explain(q) {
+                match engine.explain(q) {
                     Ok(plan) => println!("{}", plan.render()),
                     Err(e) => println!("✗ {e}\n"),
                 }
             }
-            query => match wb.query(query) {
+            query => match parse_query(query)
+                .map_err(|e| e.to_string())
+                .and_then(|q| planner.execute(&q, &mut session).map_err(|e| e.to_string()))
+            {
                 Ok((result, plan)) => {
                     for obj in &plan.objects {
                         let names: Vec<&str> =

@@ -8,8 +8,11 @@
 //! 11) so CI can sweep the suite across seeds.
 
 use std::sync::{Arc, OnceLock};
-use webbase::{LatencyModel, Webbase};
+use webbase::{Corpus, Engine, EngineConfig, LatencyModel, QueryOptions, QueryOutcome};
+use webbase_logical::LogicalLayer;
 use webbase_relational::Relation;
+use webbase_ur::plan::{UrError, UrExecution};
+use webbase_ur::query::parse_query;
 use webbase_webworld::data::Dataset;
 use webbase_webworld::prelude::*;
 use webbase_webworld::server::Site;
@@ -44,44 +47,66 @@ pub fn gen_corpus(default_sites: usize) -> webbase_webworld::generate::GenCorpus
     webbase_webworld::generate::GenCorpus::generate(seed(), gen_sites(default_sites))
 }
 
+/// The dataset and the demo's maps as shipped fact text, recorded once
+/// against a healthy web.
 #[allow(dead_code)]
 pub fn fixture() -> &'static (Arc<Dataset>, Vec<String>) {
     static FIX: OnceLock<(Arc<Dataset>, Vec<String>)> = OnceLock::new();
     FIX.get_or_init(|| {
-        let wb = Webbase::build_demo(seed(), 400, LatencyModel::lan());
-        (wb.data.clone(), wb.export_fact_maps())
+        let engine = Engine::build_demo(seed(), 400, LatencyModel::lan());
+        let maps = engine.sites().maps().map(webbase_navigation::persist::render_facts).collect();
+        (engine.data().expect("the demo has a dataset").clone(), maps)
     })
 }
 
 #[allow(dead_code)]
-pub fn webbase_on(web: SyntheticWeb) -> Webbase {
+pub fn engine_on(web: SyntheticWeb) -> Engine {
     let (data, maps) = fixture();
-    Webbase::build_from_fact_maps(web, data.clone(), maps).expect("fact maps reload")
+    let corpus = Corpus::paper(data.clone()).with_fact_maps(maps.clone());
+    Engine::build_corpus(web, corpus, EngineConfig::default()).expect("fact maps reload")
 }
 
 #[allow(dead_code)]
-pub fn healthy_webbase_at(latency: LatencyModel) -> Webbase {
+pub fn healthy_engine_at(latency: LatencyModel) -> Engine {
     let (data, _) = fixture();
-    webbase_on(standard_web(data.clone(), latency))
+    engine_on(standard_web(data.clone(), latency))
 }
 
 #[allow(dead_code)]
-pub fn healthy_webbase() -> Webbase {
-    healthy_webbase_at(LatencyModel::lan())
+pub fn healthy_engine() -> Engine {
+    healthy_engine_at(LatencyModel::lan())
 }
 
 #[allow(dead_code)]
-pub fn faulty_webbase_at(
+pub fn faulty_engine_at(
     latency: LatencyModel,
     wrap: impl Fn(&str, Box<dyn Site>) -> Box<dyn Site>,
-) -> Webbase {
+) -> Engine {
     let (data, _) = fixture();
-    webbase_on(standard_web_faulty(data.clone(), latency, wrap))
+    engine_on(standard_web_faulty(data.clone(), latency, wrap))
 }
 
 #[allow(dead_code)]
-pub fn faulty_webbase(wrap: impl Fn(&str, Box<dyn Site>) -> Box<dyn Site>) -> Webbase {
-    faulty_webbase_at(LatencyModel::lan(), wrap)
+pub fn faulty_engine(wrap: impl Fn(&str, Box<dyn Site>) -> Box<dyn Site>) -> Engine {
+    faulty_engine_at(LatencyModel::lan(), wrap)
+}
+
+/// Run a UR query on a held single-owner session (from
+/// [`Engine::isolated_session`]): its browsers, circuit breakers,
+/// caches and healing state carry over to the holder's next query.
+#[allow(dead_code)]
+pub fn run(
+    engine: &Engine,
+    session: &mut LogicalLayer,
+    text: &str,
+) -> Result<(Relation, UrExecution), UrError> {
+    engine.planner().execute(&parse_query(text).expect("query parses"), session)
+}
+
+/// One query on a fresh isolated session.
+#[allow(dead_code)]
+pub fn isolated(engine: &Engine, text: &str, options: QueryOptions) -> QueryOutcome {
+    engine.query_isolated("test", text, options).unwrap_or_else(|e| panic!("{text}: {e}"))
 }
 
 /// Every tuple of `partial` appears in `full` — degraded answers may be

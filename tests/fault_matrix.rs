@@ -11,13 +11,14 @@
 mod common;
 
 use common::{
-    faulty_webbase, faulty_webbase_at, healthy_webbase, healthy_webbase_at, subset, FORD_SELECT,
-    JAGUAR_QUERY,
+    faulty_engine, faulty_engine_at, healthy_engine, healthy_engine_at, isolated, run, subset,
+    FORD_SELECT, JAGUAR_QUERY,
 };
 use std::collections::BTreeSet;
 use std::time::Duration;
-use webbase::{LatencyModel, Metric, Obs, SpanKind};
+use webbase::{select, LatencyModel, Metric, Obs, QueryOptions, QueryOutcome, SpanKind};
 use webbase_logical::{BudgetDenial, QueryBudget};
+use webbase_ur::query::parse_query;
 use webbase_webworld::faults::{
     DelayedSite, DriftingSite, ExpiringSessionSite, FlakySite, StallingSite, TruncatingSite,
 };
@@ -31,9 +32,10 @@ const NEWSDAY: &str = "www.newsday.com";
 
 #[test]
 fn fault_matrix_partial_answers_are_sound() {
-    let mut healthy = healthy_webbase();
-    let (jag_full, _) = healthy.query(JAGUAR_QUERY).expect("healthy jaguar query");
-    let sel_full = healthy.select("classifieds", FORD_SELECT).expect("healthy select");
+    let healthy = healthy_engine();
+    let mut session = healthy.isolated_session();
+    let (jag_full, _) = run(&healthy, &mut session, JAGUAR_QUERY).expect("healthy jaguar query");
+    let sel_full = select(&mut session, "classifieds", FORD_SELECT).expect("healthy select");
     assert!(!jag_full.is_empty(), "seed must produce jaguar answers");
     assert!(!sel_full.is_empty(), "seed must produce escort answers");
 
@@ -50,12 +52,12 @@ fn fault_matrix_partial_answers_are_sound() {
         ),
     ];
     for (name, wrap) in matrix {
-        let mut wb = faulty_webbase(wrap);
-        let (jag, _) =
-            wb.query(JAGUAR_QUERY).unwrap_or_else(|e| panic!("{name}: jaguar query failed: {e}"));
+        let engine = faulty_engine(wrap);
+        let mut session = engine.isolated_session();
+        let (jag, _) = run(&engine, &mut session, JAGUAR_QUERY)
+            .unwrap_or_else(|e| panic!("{name}: jaguar query failed: {e}"));
         assert!(subset(&jag, &jag_full), "{name}: fabricated jaguar answers");
-        let sel = wb
-            .select("classifieds", FORD_SELECT)
+        let sel = select(&mut session, "classifieds", FORD_SELECT)
             .unwrap_or_else(|e| panic!("{name}: select failed: {e}"));
         assert!(subset(&sel, &sel_full), "{name}: fabricated select answers");
     }
@@ -64,9 +66,9 @@ fn fault_matrix_partial_answers_are_sound() {
 #[test]
 fn all_sites_flaky_reports_exactly_the_degraded_sites() {
     let run = || {
-        let mut wb = faulty_webbase(|_h, s| Box::new(FlakySite::new(s, 7)) as Box<dyn Site>);
-        let (result, plan) = wb.query(JAGUAR_QUERY).expect("flaky query completes");
-        (result, plan.degradation, wb.web.stats())
+        let engine = faulty_engine(|_h, s| Box::new(FlakySite::new(s, 7)) as Box<dyn Site>);
+        let out = isolated(&engine, JAGUAR_QUERY, QueryOptions::default());
+        (out.relation, out.plan.degradation, engine.web().stats())
     };
     let (result, report, stats) = run();
     assert!(!result.is_empty(), "retries recover the flaky answers");
@@ -92,10 +94,11 @@ fn all_sites_flaky_reports_exactly_the_degraded_sites() {
 fn stalling_sites_time_out_but_queries_recover() {
     // 120s stalls dwarf the default 30s fetch timeout: every 5th request
     // times out, the retry (off the stall schedule) succeeds.
-    let mut wb = faulty_webbase(|_h, s| {
+    let engine = faulty_engine(|_h, s| {
         Box::new(StallingSite::new(s, 5, Duration::from_secs(120))) as Box<dyn Site>
     });
-    let (result, plan) = wb.query(JAGUAR_QUERY).expect("stalling query completes");
+    let QueryOutcome { relation: result, plan, .. } =
+        isolated(&engine, JAGUAR_QUERY, QueryOptions::default());
     assert!(!result.is_empty());
     let timeouts: u64 = plan.degradation.sites.values().map(|s| s.timeouts).sum();
     assert!(timeouts > 0, "stalls over the timeout must be observed as timeouts");
@@ -106,19 +109,18 @@ fn stalling_sites_time_out_but_queries_recover() {
 
 #[test]
 fn stalling_sites_under_a_deadline_yield_sound_partials_and_a_token() {
-    let (jag_full, _) = healthy_webbase().query(JAGUAR_QUERY).expect("healthy jaguar query");
+    let jag_full = isolated(&healthy_engine(), JAGUAR_QUERY, QueryOptions::default()).relation;
 
     // Every 5th request stalls past the 30s fetch timeout; two such
     // timeouts blow a 45s query deadline, so the run must end early —
     // cleanly, with a sound partial answer and a resume token.
     let run = || {
-        let mut wb = faulty_webbase(|_h, s| {
+        let engine = faulty_engine(|_h, s| {
             Box::new(StallingSite::new(s, 5, Duration::from_secs(120))) as Box<dyn Site>
         });
         let budget = QueryBudget::unlimited().with_deadline(Duration::from_secs(45));
-        let (partial, plan) =
-            wb.query_with_budget(JAGUAR_QUERY, budget).expect("deadline exhaustion must not abort");
-        (partial, plan)
+        let out = isolated(&engine, JAGUAR_QUERY, QueryOptions::budgeted(budget));
+        (out.relation, out.plan)
     };
     let (partial, plan) = run();
     assert!(subset(&partial, &jag_full), "fabricated answers under the deadline");
@@ -137,13 +139,13 @@ fn stalling_sites_under_a_deadline_yield_sound_partials_and_a_token() {
 
 #[test]
 fn expiring_sessions_under_a_deadline_yield_sound_partials() {
-    let (ford_full, _) = healthy_webbase().query(FORD_QUERY).expect("healthy ford query");
+    let ford_full = isolated(&healthy_engine(), FORD_QUERY, QueryOptions::default()).relation;
 
     // Newsday's sessions all expire (every "More" step goes through
     // replay) and every newsday page costs a simulated second: a 3s
     // deadline affords at most a few newsday pages, nowhere near the
     // replaying chain.
-    let mut wb = faulty_webbase(|h, s| {
+    let engine = faulty_engine(|h, s| {
         if h == NEWSDAY {
             Box::new(DelayedSite::new(ExpiringSessionSite::new(s, 0), Duration::from_secs(1)))
                 as Box<dyn Site>
@@ -152,8 +154,8 @@ fn expiring_sessions_under_a_deadline_yield_sound_partials() {
         }
     });
     let budget = QueryBudget::unlimited().with_deadline(Duration::from_secs(3));
-    let (partial, plan) =
-        wb.query_with_budget(FORD_QUERY, budget).expect("expiring sessions must not abort");
+    let QueryOutcome { relation: partial, plan, .. } =
+        isolated(&engine, FORD_QUERY, QueryOptions::budgeted(budget));
     assert!(subset(&partial, &ford_full), "fabricated answers under the deadline");
     assert!(partial.len() < ford_full.len(), "the delayed newsday chain cannot finish in 3s");
     let snap = plan.budget.expect("budgeted runs carry a snapshot");
@@ -163,12 +165,12 @@ fn expiring_sessions_under_a_deadline_yield_sound_partials() {
 
 #[test]
 fn session_replays_are_charged_to_the_owning_site_quota() {
-    let (ford_full, _) = healthy_webbase().query(FORD_QUERY).expect("healthy ford query");
+    let ford_full = isolated(&healthy_engine(), FORD_QUERY, QueryOptions::default()).relation;
 
     // Per-site quota of 4: newsday's entry chain fits, but its stale-
     // session replays (charged to newsday, not to the global pool) push
     // it over and the site is cut off mid-chain.
-    let mut wb = faulty_webbase(|h, s| {
+    let engine = faulty_engine(|h, s| {
         if h == NEWSDAY {
             Box::new(ExpiringSessionSite::new(s, 0)) as Box<dyn Site>
         } else {
@@ -176,8 +178,8 @@ fn session_replays_are_charged_to_the_owning_site_quota() {
         }
     });
     let budget = QueryBudget::unlimited().with_site_quota(4);
-    let (partial, plan) =
-        wb.query_with_budget(FORD_QUERY, budget).expect("site quota must not abort");
+    let QueryOutcome { relation: partial, plan, .. } =
+        isolated(&engine, FORD_QUERY, QueryOptions::budgeted(budget));
     assert!(subset(&partial, &ford_full), "fabricated answers under the site quota");
     assert!(partial.len() < ford_full.len(), "newsday's replaying chain cannot fit in 4 fetches");
     let snap = plan.budget.expect("budgeted runs carry a snapshot");
@@ -192,20 +194,26 @@ fn session_replays_are_charged_to_the_owning_site_quota() {
 fn dead_site_trips_the_breaker_and_stays_fast() {
     // At the paper's dialup latencies the healthy baseline is realistic,
     // so the ≤2× bound below measures the breaker, not the noise floor.
-    let mut healthy = healthy_webbase_at(LatencyModel::dialup_1999());
-    let (jag_full, _) = healthy.query(JAGUAR_QUERY).expect("healthy jaguar query");
-    let healthy_net = healthy.layer.vps.stats.total_network();
+    let healthy = healthy_engine_at(LatencyModel::dialup_1999());
+    let mut healthy_session = healthy.isolated_session();
+    let (jag_full, _) =
+        run(&healthy, &mut healthy_session, JAGUAR_QUERY).expect("healthy jaguar query");
+    let healthy_net = healthy_session.vps.stats.total_network();
 
     // www.nytimes.com drops every request: one of the classifieds sites
     // is permanently dead.
-    let mut dead = faulty_webbase_at(LatencyModel::dialup_1999(), |h, s| {
+    let dead = faulty_engine_at(LatencyModel::dialup_1999(), |h, s| {
         if h == "www.nytimes.com" {
             Box::new(FlakySite::new(s, 1)) as Box<dyn Site>
         } else {
             s
         }
     });
-    let (result, plan) = dead.query(JAGUAR_QUERY).expect("query completes around the corpse");
+    // One session across both queries: the breaker state the first
+    // query leaves behind is what the follow-up must find.
+    let mut session = dead.isolated_session();
+    let (result, plan) =
+        run(&dead, &mut session, JAGUAR_QUERY).expect("query completes around the corpse");
     assert!(!result.is_empty(), "the other classifieds sites still answer");
     assert!(subset(&result, &jag_full), "a dead site cannot add answers");
 
@@ -216,16 +224,16 @@ fn dead_site_trips_the_breaker_and_stays_fast() {
 
     // A follow-up query finds the circuit still open and fails fast:
     // no fresh retries are spent re-probing the corpse.
-    let sel = dead.select("classifieds", FORD_SELECT).expect("follow-up select");
+    let sel = select(&mut session, "classifieds", FORD_SELECT).expect("follow-up select");
     assert!(!sel.is_empty(), "newsday and the daily news still answer");
-    let cumulative = dead.layer.vps.degradation();
+    let cumulative = session.vps.degradation();
     let site = cumulative.sites.get("www.nytimes.com").expect("still reported");
     assert!(site.fast_failures > 0, "later attempts must fail fast, not re-probe");
 
     // The breaker caps the cost of the corpse: simulated wall-clock stays
     // within 2× of the healthy run (acceptance bound), instead of paying
     // retries + backoff for every one of the site's pages.
-    let dead_net = dead.layer.vps.stats.total_network();
+    let dead_net = session.vps.stats.total_network();
     assert!(
         dead_net <= healthy_net * 2,
         "dead site blew up the wall-clock: {dead_net:?} vs healthy {healthy_net:?}"
@@ -244,8 +252,10 @@ const FORD_ALL: &str = "SELECT make, model, year, price WHERE make=ford";
 
 #[test]
 fn metrics_counters_cross_check_the_degradation_report() {
-    let mut wb = faulty_webbase(|_h, s| Box::new(FlakySite::new(s, 7)) as Box<dyn Site>);
-    let (result, plan, obs) = wb.query_traced(JAGUAR_QUERY).expect("flaky traced query");
+    let engine = faulty_engine(|_h, s| Box::new(FlakySite::new(s, 7)) as Box<dyn Site>);
+    let out = isolated(&engine, JAGUAR_QUERY, QueryOptions::traced());
+    let (result, plan) = (out.relation, out.plan);
+    let obs = out.observation.expect("traced queries carry an observation");
     assert!(!result.is_empty());
     let m = &obs.metrics;
     let deg = &plan.degradation;
@@ -278,14 +288,15 @@ fn metrics_counters_cross_check_the_degradation_report() {
 
 #[test]
 fn budget_denials_in_the_degradation_report_match_the_counter() {
-    let mut wb = healthy_webbase();
+    let engine = healthy_engine();
+    let mut session = engine.isolated_session();
     let obs = Obs::full();
-    wb.layer.vps.set_obs(obs.clone());
-    let budget = QueryBudget::unlimited().with_fetch_quota(10);
-    let (_, plan) = wb.query_with_budget(FORD_QUERY, budget).expect("quota must not abort");
+    session.vps.set_obs(obs.clone());
+    let q = parse_query(FORD_QUERY).expect("parses");
+    let q = q.with_budget(QueryBudget::unlimited().with_fetch_quota(10));
+    let (_, plan) = engine.planner().execute(&q, &mut session).expect("quota must not abort");
     let trace = obs.sink.finish();
     let m = obs.metrics.as_ref().expect("full obs carries a registry").snapshot();
-    wb.layer.vps.set_obs(Obs::none());
 
     let deg_denied: u64 = plan.degradation.sites.values().map(|s| s.budget_denied).sum();
     assert!(deg_denied > 0, "a quota of 10 must deny fetches for this test to bite");
@@ -304,7 +315,7 @@ fn budget_denials_in_the_degradation_report_match_the_counter() {
 fn repairs_in_the_repair_report_match_counter_and_spans() {
     // Newsday's auto hub renames its "Used Cars" link — auto-repaired
     // mid-query, then the run is replayed (compiled constant changed).
-    let mut wb = faulty_webbase(|h, s| {
+    let engine = faulty_engine(|h, s| {
         if h == NEWSDAY {
             Box::new(
                 DriftingSite::new(s, ">Used Cars</a>", ">Pre-owned Cars</a>").only_on_path("/auto"),
@@ -313,14 +324,14 @@ fn repairs_in_the_repair_report_match_counter_and_spans() {
             s
         }
     });
+    let mut session = engine.isolated_session();
     let obs = Obs::full();
-    wb.layer.vps.set_obs(obs.clone());
-    wb.select("classifieds", FORD_ALL).expect("drifted query must not abort");
+    session.vps.set_obs(obs.clone());
+    select(&mut session, "classifieds", FORD_ALL).expect("drifted query must not abort");
     let trace = obs.sink.finish();
     let m = obs.metrics.as_ref().expect("registry").snapshot();
-    wb.layer.vps.set_obs(Obs::none());
 
-    let rep = wb.layer.vps.repairs();
+    let rep = session.vps.repairs();
     let auto_applied: u64 = rep.sites.values().map(|s| s.auto_applied.len() as u64).sum();
     let replayed: u64 = rep.sites.values().map(|s| s.steps_replayed).sum();
     assert!(auto_applied > 0, "the renamed link must be auto-repaired for this test to bite");
@@ -340,7 +351,7 @@ fn repairs_in_the_repair_report_match_counter_and_spans() {
 fn quarantines_and_session_recoveries_match_their_counters() {
     // Scenario C: newsday's search form renames its mandatory field —
     // not auto-repairable, the node is quarantined.
-    let mut wb = faulty_webbase(|h, s| {
+    let engine = faulty_engine(|h, s| {
         if h == NEWSDAY {
             Box::new(DriftingSite::new(s, "name=make>", "name=mk2>").only_on_path("/auto/used"))
                 as Box<dyn Site>
@@ -348,14 +359,14 @@ fn quarantines_and_session_recoveries_match_their_counters() {
             s
         }
     });
+    let mut session = engine.isolated_session();
     let obs = Obs::full();
-    wb.layer.vps.set_obs(obs.clone());
-    wb.select("classifieds", FORD_ALL).expect("quarantine must not abort");
+    session.vps.set_obs(obs.clone());
+    select(&mut session, "classifieds", FORD_ALL).expect("quarantine must not abort");
     let trace = obs.sink.finish();
     let m = obs.metrics.as_ref().expect("registry").snapshot();
-    wb.layer.vps.set_obs(Obs::none());
     let quarantined: u64 =
-        wb.layer.vps.repairs().sites.values().map(|s| s.quarantined.len() as u64).sum();
+        session.vps.repairs().sites.values().map(|s| s.quarantined.len() as u64).sum();
     assert!(quarantined > 0, "the renamed mandatory field must quarantine its node");
     assert_eq!(m.get(Metric::Quarantines), quarantined, "quarantines: counter vs report");
     assert_eq!(
@@ -366,20 +377,20 @@ fn quarantines_and_session_recoveries_match_their_counters() {
 
     // Stale CGI sessions on newsday: every "More" step is recovered from
     // checkpointed inputs, and each recovery is counted and traced.
-    let mut wb = faulty_webbase(|h, s| {
+    let engine = faulty_engine(|h, s| {
         if h == NEWSDAY {
             Box::new(ExpiringSessionSite::new(s, 0)) as Box<dyn Site>
         } else {
             s
         }
     });
+    let mut session = engine.isolated_session();
     let obs = Obs::full();
-    wb.layer.vps.set_obs(obs.clone());
-    wb.select("classifieds", FORD_ALL).expect("session replay must not abort");
+    session.vps.set_obs(obs.clone());
+    select(&mut session, "classifieds", FORD_ALL).expect("session replay must not abort");
     let trace = obs.sink.finish();
     let m = obs.metrics.as_ref().expect("registry").snapshot();
-    wb.layer.vps.set_obs(Obs::none());
-    let recovered: u64 = wb.layer.vps.repairs().sites.values().map(|s| s.sessions_recovered).sum();
+    let recovered: u64 = session.vps.repairs().sites.values().map(|s| s.sessions_recovered).sum();
     assert!(recovered > 0, "ttl-0 sessions must force recoveries");
     assert_eq!(m.get(Metric::SessionRecoveries), recovered, "recoveries: counter vs report");
     assert_eq!(

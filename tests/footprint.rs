@@ -128,13 +128,14 @@ fn a_shared_session_does_no_more_work_than_an_isolated_one() {
 /// `probes` sites' exemplar queries on a `sites`-site corpus.
 fn sets_enumerated_per_query(sites: usize, probes: usize) -> Vec<usize> {
     let gen = GenCorpus::generate(common::seed(), sites);
-    let (_, stack) = webbase_bench::generated_stack(&gen, LatencyModel::zero());
+    let engine = webbase_bench::generated_engine(&gen, LatencyModel::zero());
+    let session = engine.isolated_session();
     gen.specs
         .iter()
         .take(probes)
         .map(|spec| {
             let q = parse_query(&spec.exemplar_query()).expect("exemplar parses");
-            stack.planner.sets_enumerated(&q, &stack.layer).expect("exemplar plans")
+            engine.planner().sets_enumerated(&q, &session).expect("exemplar plans")
         })
         .collect()
 }

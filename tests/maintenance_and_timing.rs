@@ -1,8 +1,8 @@
 //! Integration tests for the §7 experiments: map maintenance across
 //! site versions, the timing table, and the map-builder statistics.
 
-use webbase::timing::{self, serial_timing};
-use webbase::{LatencyModel, Webbase};
+use webbase::timing::{self, site_timings};
+use webbase::{Engine, LatencyModel};
 use webbase_navigation::maintenance::check_map;
 use webbase_navigation::recorder::Recorder;
 use webbase_navigation::sessions;
@@ -11,11 +11,11 @@ use webbase_webworld::sites::standard_web_versioned;
 
 #[test]
 fn map_builder_statistics_shape() {
-    let wb = Webbase::build_demo(11, 600, LatencyModel::lan());
+    let engine = Engine::build_demo(11, 600, LatencyModel::lan());
     // The §7 shape: Newsday is the biggest map, with a manual share
     // under 5%; every site stays in single-digit-ish manual territory.
-    let newsday = wb
-        .report
+    let newsday = engine
+        .report()
         .sites
         .iter()
         .find(|(s, _)| s == "www.newsday.com")
@@ -26,15 +26,15 @@ fn map_builder_statistics_shape() {
     // ~5% as the paper reports (exact value varies with the dataset seed
     // since the rare-make branch may add map objects).
     assert!(newsday.manual_ratio() < 0.06);
-    for (site, st) in &wb.report.sites {
+    for (site, st) in &engine.report().sites {
         assert!(st.manual_ratio() < 0.15, "{site}: {}", st.manual_ratio());
     }
 }
 
 #[test]
 fn timing_table_reproduces_the_papers_shape() {
-    let wb = Webbase::build_demo(11, 600, LatencyModel::dialup_1999());
-    let rows = serial_timing(&wb, "ford", "escort");
+    let engine = Engine::build_demo(11, 600, LatencyModel::dialup_1999());
+    let (rows, _) = site_timings(&engine, "ford", "escort", false, None);
     assert_eq!(rows.len(), 10);
     // Shape checks, not absolute numbers:
     // 1. Every site answers with at least one page fetched.
@@ -55,8 +55,8 @@ fn timing_table_reproduces_the_papers_shape() {
 
 #[test]
 fn parallel_evaluation_helps() {
-    let wb = Webbase::build_demo(11, 600, LatencyModel::dialup_1999());
-    let cmp = timing::compare(&wb, "ford", "escort");
+    let engine = Engine::build_demo(11, 600, LatencyModel::dialup_1999());
+    let cmp = timing::compare(&engine, "ford", "escort");
     assert!(cmp.parallel_wall < cmp.serial_wall);
 }
 

@@ -13,9 +13,10 @@ use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-use webbase::{LatencyModel, MetricsRegistry, Obs, QueryTrace, Webbase, METRICS};
+use webbase::{Engine, LatencyModel, MetricsRegistry, Obs, QueryOptions, QueryTrace, METRICS};
 use webbase_logical::QueryBudget;
 use webbase_obs::{SpanKind, TraceSink, QUERY_TRACK};
+use webbase_ur::query::parse_query;
 
 fn assert_well_formed(trace: &QueryTrace) -> Result<(), TestCaseError> {
     prop_assert!(!trace.spans.is_empty(), "a traced query must record spans");
@@ -62,10 +63,13 @@ proptest! {
     /// and one that exercises the dependent-join tail.
     #[test]
     fn traced_queries_produce_well_formed_span_trees(seed in 1u64..=100) {
-        let mut wb = Webbase::build_demo(seed, 400, LatencyModel::lan());
-        let (_, _, obs) =
-            wb.query_traced("UsedCarUR(make='ford', model='escort', year, price)")
-                .expect("traced query runs");
+        let engine = Engine::build_demo(seed, 400, LatencyModel::lan());
+        let q = "UsedCarUR(make='ford', model='escort', year, price)";
+        let obs = engine
+            .query_isolated("test", q, QueryOptions::traced())
+            .expect("traced query runs")
+            .observation
+            .expect("traced queries carry an observation");
         assert_well_formed(&obs.trace)?;
         // Rendering is total and agrees with the span count.
         prop_assert_eq!(obs.trace.render_jsonl().lines().count(), obs.trace.spans.len());
@@ -111,13 +115,15 @@ proptest! {
     /// every metric's value is ≥ its value after the previous round.
     #[test]
     fn counters_are_monotone_across_resumed_queries(quota in 4u64..=12) {
-        let mut wb = Webbase::build_demo(11, 400, LatencyModel::lan());
+        // One session across every round: its registry accumulates.
+        let engine = Engine::build_demo(11, 400, LatencyModel::lan());
+        let mut session = engine.isolated_session();
         let registry = Arc::new(MetricsRegistry::new());
-        wb.layer.vps.set_obs(Obs::metrics_only(registry.clone()));
-        let q = "UsedCarUR(make='ford', price)";
-        let (_, plan) = wb
-            .query_with_budget(q, QueryBudget::unlimited().with_fetch_quota(quota))
-            .expect("budgeted query runs");
+        session.vps.set_obs(Obs::metrics_only(registry.clone()));
+        let q = parse_query("UsedCarUR(make='ford', price)").expect("parses");
+        let budgeted = q.clone().with_budget(QueryBudget::unlimited().with_fetch_quota(quota));
+        let (_, plan) =
+            engine.planner().execute(&budgeted, &mut session).expect("budgeted query runs");
         let mut token = plan.resume;
         prop_assert!(token.is_some(), "quota {quota} must not finish the ford query");
         let mut prev = registry.snapshot();
@@ -125,7 +131,8 @@ proptest! {
         while let Some(t) = token {
             rounds += 1;
             prop_assert!(rounds < 100, "resume loop failed to converge");
-            let (_, p) = wb.resume(q, &t).expect("resumes");
+            let (_, p) =
+                engine.planner().execute_with(&q, &mut session, Some(&t)).expect("resumes");
             let snap = registry.snapshot();
             for m in METRICS {
                 prop_assert!(

@@ -12,7 +12,8 @@
 
 mod common;
 
-use common::{faulty_webbase, healthy_webbase, subset, JAGUAR_QUERY};
+use common::{faulty_engine, healthy_engine, isolated, subset, JAGUAR_QUERY};
+use webbase::{QueryOptions, QueryOutcome};
 use webbase_logical::{parse_resume, render_resume, QueryBudget};
 use webbase_webworld::faults::ExpiringSessionSite;
 use webbase_webworld::server::Site;
@@ -36,13 +37,13 @@ fn expiring_newsday(h: &str, s: Box<dyn Site>) -> Box<dyn Site> {
 
 #[test]
 fn exhausted_queries_never_error_and_account_for_every_denial() {
-    let (full, _) = healthy_webbase().query(JAGUAR_QUERY).expect("healthy jaguar query");
+    let full = isolated(&healthy_engine(), JAGUAR_QUERY, QueryOptions::default()).relation;
     assert!(!full.is_empty(), "seed must produce jaguar answers");
 
     for quota in [0u64, 1, 3, 7, 15] {
-        let mut wb = healthy_webbase();
-        let (partial, plan) = wb
-            .query_with_budget(JAGUAR_QUERY, QueryBudget::unlimited().with_fetch_quota(quota))
+        let budget = QueryBudget::unlimited().with_fetch_quota(quota);
+        let QueryOutcome { relation: partial, plan, .. } = healthy_engine()
+            .query_isolated("test", JAGUAR_QUERY, QueryOptions::budgeted(budget))
             .unwrap_or_else(|e| panic!("quota {quota}: exhaustion surfaced as an error: {e}"));
         assert!(subset(&partial, &full), "quota {quota}: fabricated tuples");
         assert!(partial.len() < full.len(), "quota {quota} cannot complete the jaguar query");
@@ -69,20 +70,20 @@ fn exhausted_queries_never_error_and_account_for_every_denial() {
 
 #[test]
 fn a_token_captured_mid_more_chain_resumes_to_the_full_answer_fetch_free() {
-    let mut unbounded = healthy_webbase();
-    let before = unbounded.web.total_stats().requests;
-    let (full, _) = unbounded.query(FORD_QUERY).expect("unbounded ford query");
-    let full_requests = (unbounded.web.total_stats().requests - before) as usize;
+    let unbounded = healthy_engine();
+    let before = unbounded.web().total_stats().requests;
+    let full = isolated(&unbounded, FORD_QUERY, QueryOptions::default()).relation;
+    let full_requests = (unbounded.web().total_stats().requests - before) as usize;
     assert!(!full.is_empty(), "seed must produce ford answers");
 
     // Quota 6 covers newsday's entry chain but not its "More" chain:
     // the token is captured mid-pagination.
-    let mut wb = healthy_webbase();
-    let before = wb.web.total_stats().requests;
-    let (partial, plan) = wb
-        .query_with_budget(FORD_QUERY, QueryBudget::unlimited().with_fetch_quota(6))
-        .expect("budget exhaustion must not be an error");
-    let mut spent = (wb.web.total_stats().requests - before) as usize;
+    let engine = healthy_engine();
+    let before = engine.web().total_stats().requests;
+    let budget = QueryBudget::unlimited().with_fetch_quota(6);
+    let QueryOutcome { relation: partial, plan, .. } =
+        isolated(&engine, FORD_QUERY, QueryOptions::budgeted(budget));
+    let mut spent = (engine.web().total_stats().requests - before) as usize;
     assert!(subset(&partial, &full), "fabricated partial tuples");
     assert!(partial.len() < full.len(), "quota 6 must interrupt the run");
     let token = plan.resume.expect("an interrupted run must emit a token");
@@ -102,10 +103,11 @@ fn a_token_captured_mid_more_chain_resumes_to_the_full_answer_fetch_free() {
     while let Some(t) = token {
         rounds += 1;
         assert!(rounds < 100, "resume must converge");
-        let mut next = healthy_webbase();
-        let before = next.web.total_stats().requests;
-        let (r, plan) = next.resume(FORD_QUERY, &t).expect("resume must not fail");
-        let round_spent = (next.web.total_stats().requests - before) as usize;
+        let next = healthy_engine();
+        let before = next.web().total_stats().requests;
+        let QueryOutcome { relation: r, plan, .. } =
+            isolated(&next, FORD_QUERY, QueryOptions::resuming(t.clone()));
+        let round_spent = (next.web().total_stats().requests - before) as usize;
         // Zero re-fetches of journalled pages: this round's network spend
         // plus the pages already paid for never exceeds the unbounded bill.
         assert!(
@@ -128,14 +130,13 @@ fn a_token_captured_mid_more_chain_resumes_to_the_full_answer_fetch_free() {
 
 #[test]
 fn a_token_captured_mid_session_replay_round_trips_and_resumes() {
-    let (full, _) =
-        faulty_webbase(expiring_newsday).query(FORD_QUERY).expect("session replay completes");
+    let full =
+        isolated(&faulty_engine(expiring_newsday), FORD_QUERY, QueryOptions::default()).relation;
     assert!(!full.is_empty(), "seed must produce ford answers");
 
-    let mut wb = faulty_webbase(expiring_newsday);
-    let (partial, plan) = wb
-        .query_with_budget(FORD_QUERY, QueryBudget::unlimited().with_fetch_quota(8))
-        .expect("budgeted run against expiring sessions must not abort");
+    let budget = QueryBudget::unlimited().with_fetch_quota(8);
+    let QueryOutcome { relation: partial, plan, .. } =
+        isolated(&faulty_engine(expiring_newsday), FORD_QUERY, QueryOptions::budgeted(budget));
     assert!(subset(&partial, &full), "fabricated partial tuples");
     assert!(partial.len() < full.len(), "quota 8 must interrupt the replaying chain");
     let token = plan.resume.expect("an interrupted run must emit a token");
@@ -151,8 +152,8 @@ fn a_token_captured_mid_session_replay_round_trips_and_resumes() {
     while let Some(t) = token {
         rounds += 1;
         assert!(rounds < 100, "resume must converge");
-        let mut next = faulty_webbase(expiring_newsday);
-        let (r, plan) = next.resume(FORD_QUERY, &t).expect("resume must not fail");
+        let QueryOutcome { relation: r, plan, .. } =
+            isolated(&faulty_engine(expiring_newsday), FORD_QUERY, QueryOptions::resuming(t));
         assert!(subset(&r, &full), "fabricated resumed tuples");
         result = r;
         token = plan.resume;
@@ -162,12 +163,11 @@ fn a_token_captured_mid_session_replay_round_trips_and_resumes() {
 
 #[test]
 fn fair_share_spreads_a_tight_quota_across_sites() {
-    let (full, _) = healthy_webbase().query(FORD_QUERY).expect("healthy ford query");
+    let full = isolated(&healthy_engine(), FORD_QUERY, QueryOptions::default()).relation;
     let run = |fair: bool| {
-        let mut wb = healthy_webbase();
         let budget = QueryBudget::unlimited().with_fetch_quota(13).with_fair_share(fair);
-        let (partial, plan) = wb.query_with_budget(FORD_QUERY, budget).expect("budgeted run");
-        (partial, plan.budget.expect("snapshot"))
+        let out = isolated(&healthy_engine(), FORD_QUERY, QueryOptions::budgeted(budget));
+        (out.relation, out.plan.budget.expect("snapshot"))
     };
     let (p_fair, s_fair) = run(true);
     let (p_greedy, s_greedy) = run(false);

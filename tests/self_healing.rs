@@ -11,7 +11,8 @@
 
 mod common;
 
-use common::{faulty_webbase, fixture, healthy_webbase};
+use common::{faulty_engine, fixture, healthy_engine};
+use webbase::{select, Engine};
 use webbase_html::diff::PageChange;
 use webbase_navigation::model::ActionDescr;
 use webbase_webworld::data::SiteSlice;
@@ -25,8 +26,8 @@ const NEWSDAY: &str = "www.newsday.com";
 
 /// The drifted web of scenario A: newsday's auto hub renames its
 /// "Used Cars" link (the target survives) — auto-repairable.
-fn renamed_link_webbase() -> webbase::Webbase {
-    faulty_webbase(|h, s| {
+fn renamed_link_engine() -> Engine {
+    faulty_engine(|h, s| {
         if h == NEWSDAY {
             Box::new(
                 DriftingSite::new(s, ">Used Cars</a>", ">Pre-owned Cars</a>").only_on_path("/auto"),
@@ -39,8 +40,8 @@ fn renamed_link_webbase() -> webbase::Webbase {
 
 /// Scenario C: newsday's search form renames its mandatory `make`
 /// field — not auto-repairable, the node is quarantined.
-fn renamed_field_webbase() -> webbase::Webbase {
-    faulty_webbase(|h, s| {
+fn renamed_field_engine() -> Engine {
+    faulty_engine(|h, s| {
         if h == NEWSDAY {
             Box::new(DriftingSite::new(s, "name=make>", "name=mk2>").only_on_path("/auto/used"))
                 as Box<dyn Site>
@@ -57,13 +58,16 @@ fn renamed_link_is_repaired_mid_query() {
         !data.matching(SiteSlice::Newsday, Some("ford"), None).is_empty(),
         "seed must give newsday ford ads, or the scenario is vacuous"
     );
-    let full = healthy_webbase().select("classifieds", FORD_QUERY).expect("healthy query");
+    let full = select(&mut healthy_engine().isolated_session(), "classifieds", FORD_QUERY)
+        .expect("healthy query");
 
-    let mut wb = renamed_link_webbase();
-    let sel = wb.select("classifieds", FORD_QUERY).expect("drifted query must not abort");
+    let engine = renamed_link_engine();
+    let mut session = engine.isolated_session();
+    let sel =
+        select(&mut session, "classifieds", FORD_QUERY).expect("drifted query must not abort");
     assert_eq!(sel, full, "auto-repaired drift must not cost answers");
 
-    let rep = wb.layer.vps.repairs();
+    let rep = session.vps.repairs();
     let site = rep.sites.get(NEWSDAY).expect("newsday must report repairs");
     assert!(
         site.auto_applied.iter().any(|(_, c)| matches!(
@@ -84,8 +88,9 @@ fn renamed_select_option_is_repaired_without_replay() {
     // The year select's "1997" becomes "'97": option-list edits are
     // auto-applied to the working map, but no compiled constant changed,
     // so the run is not replayed and (year unbound) answers are intact.
-    let full = healthy_webbase().select("classifieds", FORD_QUERY).expect("healthy query");
-    let mut wb = faulty_webbase(|h, s| {
+    let full = select(&mut healthy_engine().isolated_session(), "classifieds", FORD_QUERY)
+        .expect("healthy query");
+    let engine = faulty_engine(|h, s| {
         if h == NEWSDAY {
             Box::new(
                 DriftingSite::new(s, "\"1997\">1997", "\"'97\">'97").only_on_path("/auto/used"),
@@ -94,10 +99,12 @@ fn renamed_select_option_is_repaired_without_replay() {
             s
         }
     });
-    let sel = wb.select("classifieds", FORD_QUERY).expect("drifted query must not abort");
+    let mut session = engine.isolated_session();
+    let sel =
+        select(&mut session, "classifieds", FORD_QUERY).expect("drifted query must not abort");
     assert_eq!(sel, full);
 
-    let rep = wb.layer.vps.repairs();
+    let rep = session.vps.repairs();
     let site = rep.sites.get(NEWSDAY).expect("newsday must report repairs");
     let removed = site.auto_applied.iter().any(
         |(_, c)| matches!(c, PageChange::OptionRemoved { field, option, .. } if field == "year" && option == "1997"),
@@ -115,16 +122,19 @@ fn renamed_mandatory_field_quarantines_the_node() {
     let (data, _) = fixture();
     let newsday_truth = data.matching(SiteSlice::Newsday, Some("ford"), None);
     assert!(!newsday_truth.is_empty(), "newsday must have ford ads for strictness");
-    let full = healthy_webbase().select("classifieds", FORD_QUERY).expect("healthy query");
+    let full = select(&mut healthy_engine().isolated_session(), "classifieds", FORD_QUERY)
+        .expect("healthy query");
 
-    let mut wb = renamed_field_webbase();
-    let sel = wb.select("classifieds", FORD_QUERY).expect("drifted query must not abort");
+    let engine = renamed_field_engine();
+    let mut session = engine.isolated_session();
+    let sel =
+        select(&mut session, "classifieds", FORD_QUERY).expect("drifted query must not abort");
     assert!(common::subset(&sel, &full), "drift must never fabricate answers");
     assert!(sel.len() < full.len(), "newsday's branch must be lost, not faked");
 
     // The report names exactly the node whose form drifted: the
     // UsedCarPg carrying f1 (/cgi-bin/nclassy).
-    let map = wb.map_for(NEWSDAY).expect("newsday map");
+    let map = engine.sites().map_for(NEWSDAY).expect("newsday map");
     let expected = map
         .nodes
         .iter()
@@ -134,7 +144,7 @@ fn renamed_mandatory_field_quarantines_the_node() {
                 .any(|a| matches!(a, ActionDescr::Submit(f) if f.cgi == "/cgi-bin/nclassy"))
         })
         .expect("the recorded map has the f1 node");
-    let rep = wb.layer.vps.repairs();
+    let rep = session.vps.repairs();
     assert_eq!(
         rep.quarantined_nodes(),
         vec![(NEWSDAY, expected.id, expected.name.as_str())],
@@ -152,22 +162,25 @@ fn expired_sessions_replay_from_checkpointed_inputs() {
         data.matching(SiteSlice::Newsday, Some("ford"), None).len() > 4,
         "the ford listing must paginate for the scenario to bite"
     );
-    let full = healthy_webbase().select("classifieds", FORD_QUERY).expect("healthy query");
+    let full = select(&mut healthy_engine().isolated_session(), "classifieds", FORD_QUERY)
+        .expect("healthy query");
 
     // ttl 0: every session token stamped into newsday's pagination
     // links is stale by the time it is used — each "More" step 440s and
     // is replayed from its checkpointed inputs (make/model/page).
-    let mut wb = faulty_webbase(|h, s| {
+    let engine = faulty_engine(|h, s| {
         if h == NEWSDAY {
             Box::new(ExpiringSessionSite::new(s, 0)) as Box<dyn Site>
         } else {
             s
         }
     });
-    let sel = wb.select("classifieds", FORD_QUERY).expect("expiring sessions must not abort");
+    let mut session = engine.isolated_session();
+    let sel =
+        select(&mut session, "classifieds", FORD_QUERY).expect("expiring sessions must not abort");
     assert_eq!(sel, full, "session replay must recover the whole More chain");
 
-    let rep = wb.layer.vps.repairs();
+    let rep = session.vps.repairs();
     let site = rep.sites.get(NEWSDAY).expect("newsday must report recoveries");
     assert!(site.sessions_recovered >= 1, "{}", rep.render());
     assert!(site.auto_applied.is_empty() && site.quarantined.is_empty());
@@ -176,9 +189,10 @@ fn expired_sessions_replay_from_checkpointed_inputs() {
 #[test]
 fn identical_seeds_give_identical_repair_reports() {
     let run_renamed = || {
-        let mut wb = renamed_link_webbase();
-        let sel = wb.select("classifieds", FORD_QUERY).expect("drifted query");
-        (sel, wb.layer.vps.repairs())
+        let engine = renamed_link_engine();
+        let mut session = engine.isolated_session();
+        let sel = select(&mut session, "classifieds", FORD_QUERY).expect("drifted query");
+        (sel, session.vps.repairs())
     };
     let (sel1, rep1) = run_renamed();
     let (sel2, rep2) = run_renamed();
@@ -186,9 +200,10 @@ fn identical_seeds_give_identical_repair_reports() {
     assert_eq!(rep1, rep2, "repair reports must be a pure function of the seed");
 
     let run_quarantined = || {
-        let mut wb = renamed_field_webbase();
-        let sel = wb.select("classifieds", FORD_QUERY).expect("drifted query");
-        (sel, wb.layer.vps.repairs())
+        let engine = renamed_field_engine();
+        let mut session = engine.isolated_session();
+        let sel = select(&mut session, "classifieds", FORD_QUERY).expect("drifted query");
+        (sel, session.vps.repairs())
     };
     let (sel1, rep1) = run_quarantined();
     let (sel2, rep2) = run_quarantined();

@@ -17,7 +17,7 @@
 //! ```
 
 use std::path::PathBuf;
-use webbase::{LatencyModel, Webbase};
+use webbase::{Engine, LatencyModel, QueryObservation, QueryOptions};
 
 /// The §7 experiment's query shape — `make=ford AND model=escort` over
 /// the used-car webbase — expressed as a structured-UR query so the
@@ -28,10 +28,16 @@ fn snapshot_path(seed: u64) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/trace_seed{seed}.txt"))
 }
 
+fn traced(seed: u64) -> QueryObservation {
+    let engine = Engine::build_demo(seed, 400, LatencyModel::lan());
+    let out = engine
+        .query_isolated("golden", GOLDEN_QUERY, QueryOptions::traced())
+        .expect("the golden query runs");
+    out.observation.expect("traced queries carry an observation")
+}
+
 fn rendered_trace(seed: u64) -> String {
-    let mut wb = Webbase::build_demo(seed, 400, LatencyModel::lan());
-    let (_, _, obs) = wb.query_traced(GOLDEN_QUERY).expect("the golden query runs");
-    obs.trace.render_tree()
+    traced(seed).trace.render_tree()
 }
 
 fn golden(seed: u64) {
@@ -80,8 +86,7 @@ fn golden_traces_have_the_expected_shape() {
     // Shape checks that hold at any seed, so snapshot regeneration can't
     // silently bless a gutted trace: one root query span, a plan span,
     // at least one object with logical → handle → nav-run → fetch below.
-    let mut wb = Webbase::build_demo(11, 400, LatencyModel::lan());
-    let (_, _, obs) = wb.query_traced(GOLDEN_QUERY).expect("runs");
+    let obs = traced(11);
     let trace = &obs.trace;
     for kind in [
         webbase::SpanKind::Query,

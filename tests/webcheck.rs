@@ -9,7 +9,8 @@
 
 mod common;
 
-use common::{fixture, healthy_webbase};
+use common::{fixture, healthy_engine};
+use webbase::{check_stack, select};
 use webbase_flogic::goal::Goal;
 use webbase_flogic::program::{Program, Rule};
 use webbase_flogic::term::{Sym, Term, Var};
@@ -28,11 +29,11 @@ const NEWSDAY: &str = "www.newsday.com";
 
 #[test]
 fn the_deployed_webbase_is_preflight_clean() {
-    let wb = healthy_webbase();
-    let report = wb.check();
+    let engine = healthy_engine();
+    let report = check_stack(&engine.isolated_session(), engine.planner());
     assert!(report.is_clean(), "unexpected findings at seed defaults:\n{}", report.render());
-    // The load path accumulated the same verdict per site.
-    assert!(wb.layer.vps.preflight().is_clean(), "{}", wb.layer.vps.preflight().render());
+    // The build accumulated the same verdict per site.
+    assert!(engine.preflight().is_clean(), "{}", engine.preflight().render());
 }
 
 #[test]
@@ -54,10 +55,10 @@ fn every_deployed_map_carries_semantics_from_the_single_entry_point() {
     // site must come with its abstract interpretation: a cost interval
     // with a positive lower bound and a non-empty static read-set per
     // registered relation.
-    let wb = healthy_webbase();
-    for map in &wb.maps {
-        let sem = wb
-            .layer
+    let engine = healthy_engine();
+    let session = engine.isolated_session();
+    for map in engine.sites().maps() {
+        let sem = session
             .vps
             .semantics_for(&map.site)
             .unwrap_or_else(|| panic!("{} loaded without semantics", map.site));
@@ -143,8 +144,8 @@ fn undeclared_attribute_is_w012() {
 fn compiled_site_programs_conform() {
     // Every real compiled program — the artefacts pass 2 exists for —
     // conforms to Figure 3 plus the executor supplements.
-    let wb = healthy_webbase();
-    for map in &wb.maps {
+    let engine = healthy_engine();
+    for map in engine.sites().maps() {
         let compiled = webbase_navigation::compile::compile_map(map);
         let report = webbase_webcheck::check_compiled(&map.site, &compiled);
         assert!(report.is_clean(), "{}:\n{}", map.site, report.render());
@@ -164,8 +165,8 @@ fn stale_catalogue_is_flagged_on_the_node_healing_later_repairs() {
     // The drift: newsday renames its "Used Cars" link. A designer who
     // refreshes the page catalogue without re-recording the session gets
     // a map whose edge still clicks the old anchor.
-    let wb = healthy_webbase();
-    let mut map = wb.map_for(NEWSDAY).expect("newsday map").clone();
+    let engine = healthy_engine();
+    let mut map = engine.sites().map_for(NEWSDAY).expect("newsday map").clone();
     let edge_node = map
         .edges
         .iter()
@@ -194,7 +195,7 @@ fn stale_catalogue_is_flagged_on_the_node_healing_later_repairs() {
     // Now let the *runtime* meet the same drift: the executor's page
     // probe auto-repairs the rename on exactly the node the static pass
     // flagged.
-    let mut drifted = common::faulty_webbase(|h, s| {
+    let drifted = common::faulty_engine(|h, s| {
         if h == NEWSDAY {
             Box::new(
                 DriftingSite::new(s, ">Used Cars</a>", ">Pre-owned Cars</a>").only_on_path("/auto"),
@@ -203,8 +204,9 @@ fn stale_catalogue_is_flagged_on_the_node_healing_later_repairs() {
             s
         }
     });
-    drifted.select("classifieds", common::FORD_SELECT).expect("drifted query must not abort");
-    let repairs = drifted.layer.vps.repairs();
+    let mut session = drifted.isolated_session();
+    select(&mut session, "classifieds", common::FORD_SELECT).expect("drifted query must not abort");
+    let repairs = session.vps.repairs();
     let site = repairs.sites.get(NEWSDAY).expect("newsday must report repairs");
     assert!(
         site.auto_applied.iter().any(|(node, c)| *node == edge_node
@@ -223,8 +225,8 @@ fn severed_data_path_is_an_error_not_a_surprise_mid_query() {
     // Pass 1 defect injection on a *real* recorded map: sever the hop
     // into the data page; the relation's registration survives but can
     // never be reached → E101 (and derived handles would be empty).
-    let wb = healthy_webbase();
-    let mut map = wb.map_for(NEWSDAY).expect("newsday map").clone();
+    let engine = healthy_engine();
+    let mut map = engine.sites().map_for(NEWSDAY).expect("newsday map").clone();
     let data_nodes: Vec<_> = map.relations.iter().map(|r| r.data_node).collect();
     map.edges.retain(|e| !data_nodes.contains(&e.to));
     let report = check_site(&map);
